@@ -65,7 +65,10 @@ func RunLive(s Scale, seed uint64, sealDocs, fanIn int, churn float64) (*Table, 
 		return nil, fmt.Errorf("bench: %w", err)
 	}
 	defer os.RemoveAll(dir)
-	lw, err := live.Open(live.Config{Dir: dir, SealDocs: sealDocs, MergeFanIn: fanIn})
+	// One worker, as HOT and TUNE: the gate holds probe_decodes exactly,
+	// and what a segment decodes depends on where the query's shared
+	// threshold stands when it is searched, which only a fixed order fixes.
+	lw, err := live.Open(live.Config{Dir: dir, SealDocs: sealDocs, MergeFanIn: fanIn, Workers: 1})
 	if err != nil {
 		return nil, err
 	}

@@ -24,7 +24,7 @@ func TestMaxScoreSearchAllocs(t *testing.T) {
 	ctx := context.Background()
 	dst := make([]rank.DocScore, 0, 16)
 
-	// Warm every pooled structure (state, heap, iterators, bound memo)
+	// Warm every pooled structure (state, heap, iterators)
 	// with the exact query mix the measurement uses.
 	for _, q := range f.queries {
 		var err error

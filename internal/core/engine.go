@@ -302,13 +302,13 @@ func (e *Engine) streamTerm(poll *ctxPoll, acc *rank.Accumulator, frag *index.Fr
 		return nil
 	}
 	defer it.Close()
+	kern := rank.Compile(e.Scorer, ts, e.corpus)
 	for it.Next() {
 		if err := poll.check(); err != nil {
 			return err
 		}
 		p := it.At()
-		docLen := e.FX.Stats.DocLen(p.DocID)
-		acc.Add(p.DocID, e.Scorer.Score(int32(p.TF), docLen, ts, e.corpus))
+		acc.Add(p.DocID, kern.Score(int32(p.TF), e.FX.Stats.DocLen(p.DocID)))
 	}
 	return it.Err()
 }
@@ -339,6 +339,7 @@ func (e *Engine) probeTerm(poll *ctxPoll, st *engState, t lexicon.TermID, ts ran
 	if !ok {
 		return nil
 	}
+	kern := rank.Compile(e.Scorer, ts, e.corpus)
 	for _, doc := range candidates {
 		if err := poll.check(); err != nil {
 			return err
@@ -356,8 +357,7 @@ func (e *Engine) probeTerm(poll *ctxPoll, st *engState, t lexicon.TermID, ts ran
 			break
 		}
 		if p := it.At(); p.DocID == doc {
-			docLen := e.FX.Stats.DocLen(doc)
-			acc.Add(doc, e.Scorer.Score(int32(p.TF), docLen, ts, e.corpus))
+			acc.Add(doc, kern.Score(int32(p.TF), e.FX.Stats.DocLen(doc)))
 		}
 	}
 	return it.Err()

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/collection"
 	"repro/internal/index"
-	"repro/internal/lexicon"
 	"repro/internal/postings"
 	"repro/internal/rank"
 	"repro/internal/topk"
@@ -27,7 +25,7 @@ import (
 // the classic algorithm without changing its answer:
 //
 //   - term bounds use the list's recorded maximum TF
-//     (rank.UpperBoundTF), not the scorer's saturation limit, so the
+//     (Kernel.UpperBoundTF), not the scorer's saturation limit, so the
 //     essential-cursor frontier advances sooner; and
 //   - before a non-essential cursor is probed for a candidate, the max
 //     TF of the block that would contain the candidate bounds the
@@ -40,13 +38,16 @@ import (
 // strategy — quantifying what the fragmented design buys is experiment
 // E12.
 //
+// Scoring goes through rank.Kernel, compiled once per query term per
+// search, so neither a posting's score nor a block's bound costs a
+// logarithm or an interface call. A document's *reported* score is the
+// sum of its term contributions in q.Terms order, whatever order the
+// pruning met them in: the same document scores the same bits in one
+// segment or in seven, under any threshold.
+//
 // All per-Search evaluation state (cursors, bound prefix, heap) lives in
-// a pooled msState, and per-term score upper bounds are memoized for the
-// engine's lifetime — valid because the engine's index view (lexicon
-// statistics, per-list max TF) is immutable; the live layer builds a
-// fresh engine per generation, which invalidates the memo for free. A
-// warmed engine runs Search with zero heap allocations, and is safe for
-// concurrent Search.
+// a pooled msState. A warmed engine runs Search with zero heap
+// allocations, and is safe for concurrent Search.
 type MaxScoreEngine struct {
 	Idx    *index.Index
 	Scorer rank.Scorer
@@ -54,15 +55,6 @@ type MaxScoreEngine struct {
 	corpus rank.CorpusStat
 
 	states sync.Pool // *msState
-
-	// bounds memoizes rank.UpperBoundTF per term — the "bound cache" of
-	// the stacked cache design. Cheap to compute once, but the scorer's
-	// log/division work is measurable when every query recomputes it for
-	// every term.
-	boundMu     sync.RWMutex
-	bounds      map[lexicon.TermID]float64
-	boundHits   atomic.Int64
-	boundMisses atomic.Int64
 }
 
 // NewMaxScore builds a MaxScore engine over an unfragmented index. The
@@ -85,39 +77,15 @@ func NewMaxScoreWithCorpus(idx *index.Index, scorer rank.Scorer, corpus rank.Cor
 	if idx == nil || scorer == nil {
 		return nil, fmt.Errorf("core: nil index or scorer")
 	}
-	m := &MaxScoreEngine{Idx: idx, Scorer: scorer, corpus: corpus,
-		bounds: make(map[lexicon.TermID]float64)}
+	m := &MaxScoreEngine{Idx: idx, Scorer: scorer, corpus: corpus}
 	m.states.New = func() any { return &msState{} }
 	return m, nil
 }
 
-// termBound returns the memoized score upper bound for term t whose
-// list-wide max TF is maxTF. Safe for concurrent use; hit/miss counts
-// feed the cache statistics.
-func (m *MaxScoreEngine) termBound(t lexicon.TermID, maxTF uint32, ts rank.TermStat) float64 {
-	m.boundMu.RLock()
-	b, ok := m.bounds[t]
-	m.boundMu.RUnlock()
-	if ok {
-		m.boundHits.Add(1)
-		return b
-	}
-	b = rank.UpperBoundTF(m.Scorer, int32(maxTF), ts, m.corpus)
-	m.boundMisses.Add(1)
-	m.boundMu.Lock()
-	m.bounds[t] = b
-	m.boundMu.Unlock()
-	return b
-}
-
-// BoundCacheStats reports the bound-memo hit/miss counts since the
-// engine was built.
-func (m *MaxScoreEngine) BoundCacheStats() (hits, misses int64) {
-	return m.boundHits.Load(), m.boundMisses.Load()
-}
-
 // msState is the pooled per-Search evaluation state. The cursor arena
-// is sized up front so &arena[i] pointers stay stable across appends.
+// is sized up front so &arena[i] pointers stay stable across appends; it
+// stays in q.Terms order (cursors is the view sorted by bound), which is
+// the order reported scores are summed in.
 type msState struct {
 	arena    []msCursor
 	cursors  []*msCursor
@@ -160,11 +128,23 @@ func (m *MaxScoreEngine) putState(st *msState) {
 // decodes a single posting.
 type msCursor struct {
 	it        *postings.Iterator
-	ts        rank.TermStat
+	kern      rank.Kernel
 	ub        float64
 	cur       postings.Posting
 	loaded    bool // cur.TF valid; iterator positioned at cur
 	exhausted bool
+	// The last candidate this term was scored for (-1: none yet) and
+	// what it contributed there.
+	hit     int64
+	contrib float64
+}
+
+// score records and returns the term's contribution to cand, the
+// document the cursor stands on.
+func (c *msCursor) score(cand uint32, docLen int32) float64 {
+	c.hit = int64(cand)
+	c.contrib = c.kern.Score(int32(c.cur.TF), docLen)
+	return c.contrib
 }
 
 // materialize decodes up to the cursor's logical position, filling in
@@ -228,13 +208,30 @@ func (m *MaxScoreEngine) SearchContext(ctx context.Context, q collection.Query, 
 }
 
 // SearchContextInto returns the exact top N for q appended to dst,
-// observing ctx: the DAAT loop polls for cancellation at candidate
-// granularity (at most one postings block of decode work per open cursor
-// between polls), so a cancelled or deadline-expired query returns
-// ctx.Err() promptly instead of running to completion. With a dst of
-// sufficient capacity a warmed engine performs the whole search without
-// a single heap allocation.
+// observing ctx. It is SearchShared without a shared threshold.
 func (m *MaxScoreEngine) SearchContextInto(ctx context.Context, q collection.Query, n int, dst []rank.DocScore) ([]rank.DocScore, error) {
+	return m.SearchShared(ctx, q, n, dst, nil)
+}
+
+// SearchShared is the engine's one search body. It appends to dst the
+// exact top N for q, observing ctx: the DAAT loop polls for cancellation
+// at candidate granularity (at most one postings block of decode work per
+// open cursor between polls), so a cancelled or deadline-expired query
+// returns ctx.Err() promptly instead of running to completion. With a dst
+// of sufficient capacity a warmed engine performs the whole search
+// without a single heap allocation.
+//
+// shared, when non-nil, is the threshold one query carries across every
+// index it searches (the segments of a live snapshot). The engine prunes
+// against the larger of its own heap's N-th score and the shared value,
+// reports only fully evaluated documents scoring at least that, and
+// raises the shared value whenever its own full heap's minimum rises —
+// its N-th best score is a lower bound on the N-th best of the union.
+// The result is then "every document of this index that can be in the
+// union's top N", possibly fewer than n of them: merged with the other
+// indexes' results it gives the union's exact top N, on its own it is
+// exact only above the shared value (topk.ShardTop.Floor).
+func (m *MaxScoreEngine) SearchShared(ctx context.Context, q collection.Query, n int, dst []rank.DocScore, shared *topk.Threshold) ([]rank.DocScore, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("core: N = %d must be positive", n)
 	}
@@ -272,12 +269,13 @@ func (m *MaxScoreEngine) SearchContextInto(ctx context.Context, q collection.Que
 			continue
 		}
 		st.arena = append(st.arena, msCursor{
-			it:  it,
-			ts:  rank.TermStat{DocFreq: int(s.DocFreq), CollFreq: s.CollFreq},
-			cur: postings.Posting{DocID: first},
+			it:   it,
+			kern: rank.Compile(m.Scorer, rank.TermStat{DocFreq: int(s.DocFreq), CollFreq: s.CollFreq}, m.corpus),
+			cur:  postings.Posting{DocID: first},
+			hit:  -1,
 		})
 		c := &st.arena[len(st.arena)-1]
-		c.ub = m.termBound(t, it.MaxTF(), c.ts)
+		c.ub = c.kern.UpperBoundTF(int32(it.MaxTF()))
 		st.cursors = append(st.cursors, c)
 	}
 	cursors := st.cursors
@@ -313,26 +311,27 @@ func (m *MaxScoreEngine) SearchContextInto(ctx context.Context, q collection.Que
 		return nil, err
 	}
 	h := st.heap
-	theta := func() float64 {
-		if !h.Full() {
-			return 0
-		}
-		min, _ := h.Min()
-		return min.Score
-	}
 	// first = index of the first essential cursor: the weakest terms
-	// [0, first) together cannot beat theta, so they never drive the
-	// candidate choice. Grows monotonically as theta rises. The strict
-	// inequality matters: a document reaching theta exactly can still
-	// displace the heap minimum through the document-id tie-break, so
-	// only a strictly smaller bound excludes safely.
+	// [0, first) together cannot beat the threshold, so they never drive
+	// the candidate choice. Grows monotonically as the threshold rises.
+	// The strict inequality matters: a document reaching the threshold
+	// exactly can still displace the N-th document through the
+	// document-id tie-break, so only a strictly smaller bound excludes
+	// safely.
 	first := 0
 	poll := ctxPoll{ctx: ctx}
 	for {
 		if err := poll.check(); err != nil {
 			return nil, err
 		}
-		th := theta()
+		var th float64
+		if h.Full() {
+			min, _ := h.Min()
+			th = min.Score
+		}
+		if shared != nil {
+			th = max(th, shared.Load())
+		}
 		for first < len(cursors) && prefixUB[first+1] < th {
 			first++
 		}
@@ -355,7 +354,9 @@ func (m *MaxScoreEngine) SearchContextInto(ctx context.Context, q collection.Que
 			break
 		}
 		docLen := m.Idx.Stats.DocLen(cand)
-		// Score the essential terms and advance their cursors.
+		// Score the essential terms and advance their cursors. score is the
+		// running sum the pruning tests use; it adds the terms in the order
+		// they are met, which follows the threshold.
 		var score float64
 		for _, c := range cursors[first:] {
 			if !c.exhausted && c.cur.DocID == cand {
@@ -365,23 +366,25 @@ func (m *MaxScoreEngine) SearchContextInto(ctx context.Context, q collection.Que
 				if c.exhausted || c.cur.DocID != cand {
 					continue
 				}
-				score += m.Scorer.Score(int32(c.cur.TF), docLen, c.ts, m.corpus)
+				score += c.score(cand, docLen)
 				if err := c.advance(); err != nil {
 					return nil, err
 				}
 			}
 		}
-		// Probe the non-essential terms strongest-first, aborting as soon
-		// as even their combined remainder cannot lift the candidate past
-		// the threshold. Before paying for a probe, the block bound: the
-		// max TF of the block that would contain cand caps this term's
-		// contribution, so if score + blockBound + (all weaker bounds)
-		// still falls short of theta, the block is provably useless and
-		// its decode is skipped. The offered score then misses at most
-		// contributions of documents that cannot enter the heap, so the
-		// result is unchanged — same answer, less work.
+		// Probe the non-essential terms strongest-first, giving the
+		// candidate up as soon as even their combined remainder cannot lift
+		// it to the threshold. Before paying for a probe, the block bound:
+		// the max TF of the block that would contain cand caps this term's
+		// contribution, so if score + blockBound + (all weaker bounds) still
+		// falls short, the block is provably useless and its decode is
+		// skipped. A candidate given up is never offered: only fully
+		// evaluated scores enter the heap, so its minimum is a bound another
+		// index may prune by.
+		complete := true
 		for i := first - 1; i >= 0; i-- {
 			if score+prefixUB[i+1] < th {
+				complete = false
 				break
 			}
 			c := cursors[i]
@@ -398,22 +401,40 @@ func (m *MaxScoreEngine) SearchContextInto(ctx context.Context, q collection.Que
 					// occur in it. Nothing to decode, nothing to score.
 					continue
 				}
-				blockUB := rank.UpperBoundTF(m.Scorer, int32(bmTF), c.ts, m.corpus)
-				if score+blockUB+prefixUB[i] < th {
+				if score+c.kern.UpperBoundTF(int32(bmTF))+prefixUB[i] < th {
 					// The block bound proves the probe useless before the
 					// block decode is paid: a Block-Max skip.
 					c.it.NoteBlockSkip()
-					continue
+					complete = false
+					break
 				}
 			}
 			if err := c.seekGE(cand); err != nil {
 				return nil, err
 			}
 			if !c.exhausted && c.cur.DocID == cand {
-				score += m.Scorer.Score(int32(c.cur.TF), docLen, c.ts, m.corpus)
+				score += c.score(cand, docLen)
 			}
 		}
-		h.Offer(rank.DocScore{DocID: cand, Score: score})
+		if !complete {
+			continue
+		}
+		// The reported score adds the contributions in q.Terms order, so it
+		// does not depend on where the threshold stood when cand was met.
+		var total float64
+		for i := range st.arena {
+			if c := &st.arena[i]; c.hit == int64(cand) {
+				total += c.contrib
+			}
+		}
+		if total < th || !h.Offer(rank.DocScore{DocID: cand, Score: total}) {
+			continue
+		}
+		if shared != nil && h.Full() {
+			if min, _ := h.Min(); min.Score > th {
+				shared.Raise(min.Score)
+			}
+		}
 	}
 	return h.AppendResults(dst), nil
 }

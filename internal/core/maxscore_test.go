@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"math"
 	"testing"
 
 	"repro/internal/collection"
@@ -8,6 +10,7 @@ import (
 	"repro/internal/postings"
 	"repro/internal/rank"
 	"repro/internal/storage"
+	"repro/internal/topk"
 	"repro/internal/xrand"
 )
 
@@ -239,6 +242,60 @@ func TestMaxScoreRandomQueries(t *testing.T) {
 		for i := range want.Top {
 			if got[i].DocID != want.Top[i].DocID {
 				t.Fatalf("trial %d: rank %d is doc %d, want %d", trial, i, got[i].DocID, want.Top[i].DocID)
+			}
+		}
+	}
+}
+
+// TestMaxScoreSharedThreshold pins the engine's contract under a
+// threshold handed in from outside: it reports exactly the documents of
+// its own top N that score at least the threshold — ties at the
+// threshold included — with the very bits it reports without one, it
+// decodes no more postings than without one, and it publishes its own
+// N-th score.
+func TestMaxScoreSharedThreshold(t *testing.T) {
+	f := fix(t)
+	ms, idx := buildMaxScore(t)
+	ctx := context.Background()
+	for _, q := range f.freqQueries {
+		idx.Counters().Reset()
+		want, err := ms.SearchContextInto(ctx, q, 10, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone := idx.Counters().LoadPostingsDecoded()
+		if len(want) < 10 {
+			continue
+		}
+		var own topk.Threshold
+		if _, err := ms.SearchShared(ctx, q, 10, nil, &own); err != nil {
+			t.Fatal(err)
+		}
+		if own.Load() != want[9].Score {
+			t.Fatalf("query %d: published %v, want the N-th score %v", q.ID, own.Load(), want[9].Score)
+		}
+		for _, k := range []int{0, 4, 9} {
+			var th topk.Threshold
+			th.Raise(want[k].Score)
+			idx.Counters().Reset()
+			got, err := ms.SearchShared(ctx, q, 10, nil, &th)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := idx.Counters().LoadPostingsDecoded(); d > alone {
+				t.Fatalf("query %d: %d postings decoded under a threshold, %d without", q.ID, d, alone)
+			}
+			keep := 0
+			for keep < len(want) && want[keep].Score >= want[k].Score {
+				keep++
+			}
+			if len(got) != keep {
+				t.Fatalf("query %d, threshold at rank %d: %d results, want %d", q.ID, k, len(got), keep)
+			}
+			for i := range got {
+				if got[i].DocID != want[i].DocID || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+					t.Fatalf("query %d, threshold at rank %d: position %d is %v, want %v", q.ID, k, i, got[i], want[i])
+				}
 			}
 		}
 	}

@@ -44,12 +44,12 @@ type progState struct {
 	remaining []float64
 }
 
-// fragTerm is one resolved query term: its id, statistics, and score
-// upper bound.
+// fragTerm is one resolved query term: its id, compiled scorer, and
+// score upper bound.
 type fragTerm struct {
-	id lexicon.TermID
-	ts rank.TermStat
-	ub float64
+	id   lexicon.TermID
+	kern rank.Kernel
+	ub   float64
 }
 
 // ensureHeap (re)bounds the pooled heap to n.
@@ -188,14 +188,14 @@ func (p *Progressive) SearchContextInto(ctx context.Context, q collection.Query,
 		}
 		fi := p.MX.FragmentIndexOf(t)
 		qt := fragTerm{
-			id: t,
-			ts: rank.TermStat{DocFreq: int(s.DocFreq), CollFreq: s.CollFreq},
+			id:   t,
+			kern: rank.Compile(p.Scorer, rank.TermStat{DocFreq: int(s.DocFreq), CollFreq: s.CollFreq}, p.corpus),
 		}
 		// The list's recorded maximum TF tightens the term's score bound
 		// below the scorer's saturation limit, so the remaining-mass
 		// administration stops chains earlier — still provably safe,
 		// because no posting in the list can exceed the recorded TF.
-		qt.ub = rank.UpperBoundTF(p.Scorer, int32(p.MX.MaxTF(t)), qt.ts, p.corpus)
+		qt.ub = qt.kern.UpperBoundTF(int32(p.MX.MaxTF(t)))
 		byFrag[fi] = append(byFrag[fi], qt)
 	}
 	remaining[nf] = 0
@@ -233,7 +233,8 @@ func (p *Progressive) SearchContextInto(ctx context.Context, q collection.Query,
 			return res, nil
 		}
 		frag := p.MX.Fragments[fi]
-		for _, qt := range terms {
+		for i := range terms {
+			qt := &terms[i]
 			it, ok, err := frag.Reader(qt.id)
 			if err != nil {
 				return ProgressiveResult{}, fmt.Errorf("core: term %d: %w", qt.id, err)
@@ -247,8 +248,7 @@ func (p *Progressive) SearchContextInto(ctx context.Context, q collection.Query,
 					return ProgressiveResult{}, err
 				}
 				pst := it.At()
-				docLen := p.MX.Stats.DocLen(pst.DocID)
-				acc.Add(pst.DocID, p.Scorer.Score(int32(pst.TF), docLen, qt.ts, p.corpus))
+				acc.Add(pst.DocID, qt.kern.Score(int32(pst.TF), p.MX.Stats.DocLen(pst.DocID)))
 			}
 			err = it.Err()
 			it.Close()

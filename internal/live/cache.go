@@ -1,11 +1,9 @@
 package live
 
-// CacheStats is a point-in-time view of the three cache layers on the
-// query path: the whole-answer result cache, the shared hot-block cache
-// under every segment's postings store, and the per-engine term-bound
-// memos of the current generation. Counters are cumulative since Open;
-// bound-memo counters cover only the current generation (each commit
-// builds fresh engines, which is exactly what invalidates the memos).
+// CacheStats is a point-in-time view of the two cache layers on the
+// query path: the whole-answer result cache and the shared hot-block
+// cache under every segment's postings store. Counters are cumulative
+// since Open.
 type CacheStats struct {
 	// Result cache (zero-valued when Config.ResultCacheBytes is 0).
 	ResultHits    int64
@@ -24,10 +22,6 @@ type CacheStats struct {
 	BlockEvicts  int64
 	BlockBytes   int64
 	BlockEntries int64
-
-	// Term-bound memo, summed over the current generation's engines.
-	BoundHits   int64
-	BoundMisses int64
 }
 
 // CacheStats samples every cache layer's counters.
@@ -46,16 +40,6 @@ func (w *Writer) CacheStats() CacheStats {
 		cs.BlockEvicts = s.Evicts
 		cs.BlockBytes = s.Bytes
 		cs.BlockEntries = s.Entries
-	}
-	w.mu.Lock()
-	g := w.cur
-	w.mu.Unlock()
-	if g != nil {
-		for _, e := range g.engines {
-			h, m := e.BoundCacheStats()
-			cs.BoundHits += h
-			cs.BoundMisses += m
-		}
 	}
 	return cs
 }

@@ -4,8 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/collection"
 	"repro/internal/lexicon"
@@ -144,19 +145,23 @@ func (s *Snapshot) SearchContext(ctx context.Context, terms []string, n int) (Re
 // plus (generation, N) fully determines the answer, which is what makes
 // it usable as a result-cache key.
 func (s *Snapshot) resolve(terms []string) []lexicon.TermID {
-	g := s.g
-	seen := make(map[lexicon.TermID]bool, len(terms))
 	ids := make([]lexicon.TermID, 0, len(terms))
 	for _, t := range terms {
-		id := g.lex.Lookup(t)
-		if id == lexicon.InvalidTerm || seen[id] {
-			continue
+		if id := s.g.lex.Lookup(t); id != lexicon.InvalidTerm {
+			ids = append(ids, id)
 		}
-		seen[id] = true
-		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	return ids
+	slices.Sort(ids)
+	return slices.Compact(ids)
+}
+
+// segLeg is one segment's part in a query: the window of the shared
+// result buffer its engine appends into, and how its search ended.
+type segLeg struct {
+	top     []rank.DocScore // the window, then the results in it (global ids)
+	err     error           // a failure that fails the query
+	skipped bool            // quarantined: not part of the answer
+	faulted bool            // quarantined by this very pass
 }
 
 // searchIDs evaluates the resolved query — the shared back half of
@@ -198,15 +203,31 @@ func (s *Snapshot) searchIDs(ctx context.Context, ids []lexicon.TermID, n int) (
 	// siblings run to completion.
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	tops := make([][]rank.DocScore, len(g.segs))
-	errs := make([]error, len(g.segs))
-	skipped := make([]bool, len(g.segs))
+	// Every engine appends into its own window of one buffer. A segment
+	// returns at most min(n, its documents) results, so the buffer is
+	// bounded by the snapshot's size however large the request's n.
+	legs := make([]segLeg, len(g.segs))
+	total := 0
+	for _, seg := range g.segs {
+		total += min(n, seg.docs)
+	}
+	buf := make([]rank.DocScore, total)
+	for i, seg := range g.segs {
+		w := min(n, seg.docs)
+		legs[i].top, buf = buf[:0:w], buf[w:]
+	}
+	// th is the query's one threshold (see topk.Threshold): segments are
+	// searched largest first, so the segment likeliest to hold most of
+	// the answer earns it and the small ones prune against it from their
+	// first candidate.
+	var th *topk.Threshold
 	searchSeg := func(i int) {
+		leg := &legs[i]
 		if g.segs[i].quarantined.Load() {
-			skipped[i] = true
+			leg.skipped = true
 			return
 		}
-		top, err := g.engines[i].SearchContext(sctx, q, n)
+		top, err := g.engines[i].SearchShared(sctx, q, n, leg.top, th)
 		if err != nil {
 			if isDataFault(err) {
 				// The media failed, not the query: quarantine the segment
@@ -215,10 +236,10 @@ func (s *Snapshot) searchIDs(ctx context.Context, ids []lexicon.TermID, n int) (
 				if g.segs[i].quarantine(err) && s.fc != nil {
 					s.fc.quarantines.Add(1)
 				}
-				skipped[i] = true
+				leg.skipped, leg.faulted = true, true
 				return
 			}
-			errs[i] = err
+			leg.err = err
 			cancel()
 			return
 		}
@@ -226,32 +247,53 @@ func (s *Snapshot) searchIDs(ctx context.Context, ids []lexicon.TermID, n int) (
 		for j := range top {
 			top[j].DocID += base
 		}
-		tops[i] = top
+		leg.top = top
 	}
-	if s.workers > 1 && len(g.segs) > 1 {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, s.workers)
-		for i := range g.segs {
-			if sctx.Err() != nil {
-				errs[i] = sctx.Err()
-				continue // stop scheduling: a sibling failed or the caller left
+	// One worker's share: the next unclaimed segment in g.order until none
+	// is left. Once a sibling has failed or the caller has left, the rest
+	// are marked instead of searched.
+	var next atomic.Int32
+	work := func() {
+		for {
+			k := int(next.Add(1)) - 1
+			if k >= len(g.order) {
+				return
 			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				searchSeg(i)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range g.segs {
-			if sctx.Err() != nil {
-				errs[i] = sctx.Err()
+			i := g.order[k]
+			if err := sctx.Err(); err != nil {
+				legs[i].err = err
 				continue
 			}
 			searchSeg(i)
+		}
+	}
+	// A segment that faults mid-search may already have raised th by
+	// scores of documents that are then not served: the survivors pruned
+	// against a bound their own documents never earned, and their merged
+	// lists could miss documents of the degraded answer. So a pass in
+	// which a segment was quarantined is repeated over the survivors with
+	// a fresh threshold — a degraded answer stays the exact ranking over
+	// the documents served. Every repeat takes a newly quarantined
+	// segment, which bounds the passes.
+	for range len(g.segs) + 1 {
+		th = new(topk.Threshold)
+		for i := range legs {
+			legs[i] = segLeg{top: legs[i].top[:0]}
+		}
+		next.Store(0)
+		// The caller's goroutine is one of the workers.
+		var wg sync.WaitGroup
+		for range min(s.workers, len(g.segs)) - 1 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		work()
+		wg.Wait()
+		if !slices.ContainsFunc(legs, func(l segLeg) bool { return l.faulted }) {
+			break
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -259,27 +301,29 @@ func (s *Snapshot) searchIDs(ctx context.Context, ids []lexicon.TermID, n int) (
 	}
 	// Prefer the root cause: a failing segment cancels its siblings,
 	// whose own errors are then mere context noise.
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+	for i := range legs {
+		if err := legs[i].err; err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 			return Result{}, err
 		}
 	}
-	for _, err := range errs {
-		if err != nil {
-			return Result{}, err
+	for i := range legs {
+		if legs[i].err != nil {
+			return Result{}, legs[i].err
 		}
 	}
 
 	served := make([]topk.ShardTop, 0, len(g.segs))
 	var skippedNames []string
+	floor := th.Load()
 	for i := range g.segs {
-		if skipped[i] {
+		if legs[i].skipped {
 			skippedNames = append(skippedNames, g.segs[i].name)
 			continue
 		}
-		// Each segment evaluated exactly (Bound 0). Truncated is
+		// Each segment evaluated exactly (Bound 0) above the threshold it
+		// pruned under, which the final value bounds. Truncated is
 		// conservative: a full top list may have displaced candidates.
-		served = append(served, topk.ShardTop{Top: tops[i], Truncated: len(tops[i]) == n})
+		served = append(served, topk.ShardTop{Top: legs[i].top, Truncated: len(legs[i].top) == n, Floor: floor})
 	}
 	res.Top, res.Cert = topk.MergeShardsPartial(served, n, skippedNames, len(g.segs))
 	res.Exact = res.Cert.Exact

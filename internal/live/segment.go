@@ -1,10 +1,12 @@
 package live
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/blockcache"
@@ -254,7 +256,10 @@ type generation struct {
 	corpus  rank.CorpusStat
 	segs    []*segment
 	engines []*core.MaxScoreEngine
-	refs    atomic.Int64
+	// order lists the segment indexes largest first (by postings): the
+	// order a query searches them in, so its threshold rises early.
+	order []int
+	refs  atomic.Int64
 }
 
 // newGeneration assembles a generation over segs, acquiring one segment
@@ -283,7 +288,9 @@ func newGeneration(id uint64, lex *lexicon.Lexicon, corpus rank.CorpusStat, segs
 			return nil, fmt.Errorf("live: generation %d segment %s: %w", id, s.name, err)
 		}
 		s.acquire()
+		g.order = append(g.order, i)
 	}
+	slices.SortStableFunc(g.order, func(a, b int) int { return cmp.Compare(segs[b].postings, segs[a].postings) })
 	return g, nil
 }
 

@@ -258,7 +258,10 @@ func Decode(buf []byte) ([]Posting, error) {
 		return nil, ErrCorrupt
 	}
 	pos := n
-	out := make([]Posting, 0, count)
+	// count comes from the stream: cap the allocation by what the bytes
+	// that follow can hold (a posting is at least two bytes), so a
+	// corrupt header cannot ask for gigabytes before ErrCorrupt.
+	out := make([]Posting, 0, min(int(count), len(buf)/2))
 	var docs, tfs [BlockSize]uint32
 	prevFirst := int64(-1)
 	prevDoc := int64(-1)

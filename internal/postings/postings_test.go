@@ -105,6 +105,11 @@ func TestDecodeCorrupt(t *testing.T) {
 	if _, err := Decode(nil); !errors.Is(err, ErrCorrupt) {
 		t.Error("nil input accepted")
 	}
+	// A declared count of 2^32-1 with no blocks behind it: the allocation
+	// must follow the input's length, not the declared count.
+	if _, err := Decode([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("huge declared count: err = %v, want ErrCorrupt", err)
+	}
 }
 
 func TestEncodeCompresses(t *testing.T) {

@@ -124,7 +124,9 @@ func (s BM25) Score(tf, docLen int32, t TermStat, c CorpusStat) float64 {
 	}
 	norm := 1 - s.B + s.B*float64(docLen)/c.AvgDocLen
 	ftf := float64(tf)
-	return s.idf(t, c) * ftf * (s.K1 + 1) / (ftf + s.K1*norm)
+	// float64(...) keeps the product from being fused into the add, so
+	// every platform rounds it the way the compiled Kernel does.
+	return s.idf(t, c) * ftf * (s.K1 + 1) / (ftf + float64(s.K1*norm))
 }
 
 // UpperBound implements Scorer: the tf term saturates at (k1+1) as tf→∞
@@ -145,7 +147,7 @@ func (s BM25) UpperBoundTF(maxTF int32, t TermStat, c CorpusStat) float64 {
 		return 0
 	}
 	ftf := float64(maxTF)
-	return s.idf(t, c) * ftf * (s.K1 + 1) / (ftf + s.K1*(1-s.B))
+	return s.idf(t, c) * ftf * (s.K1 + 1) / (ftf + float64(s.K1*(1-s.B)))
 }
 
 // LM is Hiemstra's linearly interpolated language model, the ranking

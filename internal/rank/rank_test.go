@@ -236,6 +236,16 @@ func BenchmarkBM25Score(b *testing.B) {
 	ts := TermStat{DocFreq: 1000, CollFreq: 5000}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Score(int32(i&15+1), 300, ts, testCorpus)
+		benchSink = s.Score(int32(i&15+1), 300, ts, testCorpus)
+	}
+}
+
+var benchSink float64
+
+func BenchmarkKernelScore(b *testing.B) {
+	k := Compile(NewBM25(), TermStat{DocFreq: 1000, CollFreq: 5000}, testCorpus)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = k.Score(int32(i&15+1), 300)
 	}
 }

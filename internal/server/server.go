@@ -52,7 +52,7 @@ type Backend interface {
 	// segments, retry/fault totals, degraded-query count.
 	FaultStats() live.FaultStats
 	// CacheStats reports the query-path cache layers' counters: result
-	// cache, hot-block cache, and per-generation bound memos.
+	// cache and hot-block cache.
 	CacheStats() live.CacheStats
 	// Close releases the backend. The server calls it at the end of
 	// Shutdown, after in-flight queries drain.
@@ -543,7 +543,7 @@ type fullMetrics struct {
 	DegradedQueries     int64 `json:"degraded_queries_total"`
 	ReadRetries         int64 `json:"read_retries_total"`
 	ReadFaults          int64 `json:"read_faults_total"`
-	// Cache account: the three query-path cache layers. All zero when
+	// Cache account: the two query-path cache layers. All zero when
 	// the caches are disabled.
 	CacheHits          int64 `json:"cache_hits"`
 	CacheMisses        int64 `json:"cache_misses"`
@@ -555,8 +555,6 @@ type fullMetrics struct {
 	BlockCacheAdmits   int64 `json:"block_cache_admits"`
 	BlockCacheEvicts   int64 `json:"block_cache_evicts"`
 	BlockCacheBytes    int64 `json:"block_cache_bytes"`
-	BoundCacheHits     int64 `json:"bound_cache_hits"`
-	BoundCacheMisses   int64 `json:"bound_cache_misses"`
 	// Replication account (leader/follower/coordinator roles); absent on
 	// a standalone node.
 	Replication *ReplicationStats `json:"replication,omitempty"`
@@ -612,7 +610,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		BlockCacheAdmits:    cs.BlockAdmits,
 		BlockCacheEvicts:    cs.BlockEvicts,
 		BlockCacheBytes:     cs.BlockBytes,
-		BoundCacheHits:      cs.BoundHits,
-		BoundCacheMisses:    cs.BoundMisses,
 	})
 }

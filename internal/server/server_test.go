@@ -353,13 +353,12 @@ func TestMetricsFaultFields(t *testing.T) {
 }
 
 // TestMetricsCacheFields: /metrics surfaces the backend's cache
-// account — result cache, singleflight, block cache, bound memo.
+// account — result cache, singleflight, block cache.
 func TestMetricsCacheFields(t *testing.T) {
 	backend := &stubBackend{caches: live.CacheStats{
 		ResultHits: 10, ResultMisses: 4, ResultBytes: 2048, ResultEntries: 3,
 		SingleflightShared: 2,
 		BlockHits:          20, BlockMisses: 6, BlockAdmits: 5, BlockEvicts: 1, BlockBytes: 4096,
-		BoundHits: 30, BoundMisses: 9,
 	}}
 	s := newTestServer(t, backend, Config{})
 	w := httptest.NewRecorder()
@@ -373,7 +372,6 @@ func TestMetricsCacheFields(t *testing.T) {
 		"singleflight_shared": 2,
 		"block_cache_hits":    20, "block_cache_misses": 6, "block_cache_admits": 5,
 		"block_cache_evicts": 1, "block_cache_bytes": 4096,
-		"bound_cache_hits": 30, "bound_cache_misses": 9,
 	}
 	for key, v := range want {
 		if got, ok := m[key].(float64); !ok || got != v {

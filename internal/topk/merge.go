@@ -14,10 +14,16 @@ import "repro/internal/rank"
 // Truncated reports whether the shard held more candidates than it
 // returned; a truncated shard may hide documents scoring up to its
 // weakest reported score plus Bound.
+//
+// Floor is the threshold the shard pruned under when it was handed one
+// from outside (a Threshold shared across the shards of one query): the
+// shard reports only documents scoring at least Floor, whatever else it
+// holds. 0 means the shard pruned against nothing but its own top list.
 type ShardTop struct {
 	Top       []rank.DocScore
 	Bound     float64
 	Truncated bool
+	Floor     float64
 }
 
 // MergeShards combines per-shard top lists into the global top n,
@@ -40,6 +46,13 @@ type ShardTop struct {
 // *equals* the N-th score only keeps exactness when its shard's Bound is
 // zero, because then the deterministic (score, docid) tie-break ordering
 // is applied to true scores on both sides.
+//
+// A floored shard adds one rule: the documents it left out for scoring
+// below its Floor rank strictly after the merged N-th document only when
+// there are n merged documents and Floor is at most the N-th score.
+// Otherwise the floor was earned from documents that are not in this
+// merge (a shard dropped after it raised the shared threshold), and the
+// certificate is refused.
 func MergeShards(shards []ShardTop, n int) (top []rank.DocScore, exact bool) {
 	if n <= 0 {
 		return nil, false
@@ -56,21 +69,23 @@ func MergeShards(shards []ShardTop, n int) (top []rank.DocScore, exact bool) {
 		// Nothing reported anywhere: exact iff no shard can be hiding
 		// positive-score documents.
 		for _, s := range shards {
-			if s.Bound > 0 {
+			if s.Bound > 0 || s.Floor > 0 {
 				return top, false
 			}
 		}
 		return top, true
 	}
 
-	inTop := make(map[uint32]bool, len(top))
-	for _, ds := range top {
-		inTop[ds.DocID] = true
-	}
 	nth := top[len(top)-1]
 	haveN := len(top) == n
+	// Only an inexact shard's displaced documents are looked up in the
+	// merged top; the all-exact merge (every live query) never builds it.
+	var inTop map[uint32]bool
 
 	for _, s := range shards {
+		if s.Floor > 0 && (!haveN || s.Floor > nth.Score) {
+			return top, false
+		}
 		if s.Bound == 0 {
 			// Exact shard: reported scores are true scores, so the heap
 			// already applied the exact deterministic ordering to any
@@ -84,6 +99,12 @@ func MergeShards(shards []ShardTop, n int) (top []rank.DocScore, exact bool) {
 			continue
 		}
 		// (a) Reported-but-displaced documents.
+		if inTop == nil {
+			inTop = make(map[uint32]bool, len(top))
+			for _, ds := range top {
+				inTop[ds.DocID] = true
+			}
+		}
 		for _, ds := range s.Top {
 			if inTop[ds.DocID] {
 				continue

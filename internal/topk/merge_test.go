@@ -139,6 +139,46 @@ func TestMergeShards(t *testing.T) {
 			wantExact: true,
 		},
 		{
+			name: "floored shard short of n, floor at the merged N-th score, certifies",
+			shards: []ShardTop{
+				{Top: []rank.DocScore{ds(1, 9), ds(2, 8)}, Truncated: true, Floor: 8},
+				// Everything else this shard holds scores below 8.
+				{Top: []rank.DocScore{ds(10, 8)}, Floor: 8},
+			},
+			n:         2,
+			wantTop:   []rank.DocScore{ds(1, 9), ds(2, 8)},
+			wantExact: true,
+		},
+		{
+			name: "floored shard short of n, floor above the merged N-th score, is refused",
+			shards: []ShardTop{
+				// The floor 8.5 was earned from a shard that is not merged:
+				// this one may hold a document scoring 8.2 it never reported.
+				{Top: []rank.DocScore{ds(1, 9)}, Floor: 8.5},
+				{Top: []rank.DocScore{ds(10, 8)}, Floor: 8.5},
+			},
+			n:         2,
+			wantTop:   []rank.DocScore{ds(1, 9), ds(10, 8)},
+			wantExact: false,
+		},
+		{
+			name: "floored shards with fewer than n merged results are refused",
+			shards: []ShardTop{
+				{Top: []rank.DocScore{ds(1, 9)}, Floor: 3},
+				{Floor: 3},
+			},
+			n:         2,
+			wantTop:   []rank.DocScore{ds(1, 9)},
+			wantExact: false,
+		},
+		{
+			name:      "floored shards reporting nothing are refused",
+			shards:    []ShardTop{{Floor: 3}, {Floor: 3}},
+			n:         2,
+			wantTop:   []rank.DocScore{},
+			wantExact: false,
+		},
+		{
 			name:      "non-positive n yields nothing",
 			shards:    []ShardTop{{Top: []rank.DocScore{ds(1, 1)}}},
 			n:         0,
