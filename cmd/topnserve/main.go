@@ -368,12 +368,7 @@ func ingest(w *live.Writer, docs, vocab, meanLen int, seed uint64) error {
 		return err
 	}
 	for i := range col.Docs {
-		d := &col.Docs[i]
-		terms := make([]live.TermCount, len(d.Terms))
-		for j, tf := range d.Terms {
-			terms[j] = live.TermCount{Term: col.Lex.Name(tf.Term), TF: tf.TF}
-		}
-		if _, err := w.Add(terms); err != nil {
+		if _, err := w.Add(live.DocTerms(col.Lex, col.Docs[i])); err != nil {
 			return fmt.Errorf("ingest doc %d: %w", i, err)
 		}
 	}

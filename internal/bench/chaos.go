@@ -87,21 +87,7 @@ func RunChaos(s Scale, seed uint64) (*Table, error) {
 	const n = 10
 	const churn = 0.1
 
-	names := make([][]string, len(queries))
-	for i, q := range queries {
-		names[i] = make([]string, len(q.Terms))
-		for j, term := range q.Terms {
-			names[i][j] = col.Lex.Name(term)
-		}
-	}
-	docTerms := func(i int) []live.TermCount {
-		d := &col.Docs[i]
-		terms := make([]live.TermCount, len(d.Terms))
-		for j, tf := range d.Terms {
-			terms[j] = live.TermCount{Term: col.Lex.Name(tf.Term), TF: tf.TF}
-		}
-		return terms
-	}
+	names := queryNames(col.Lex, queries)
 
 	refDir, err := os.MkdirTemp("", "topn-chaos-ref-*")
 	if err != nil {
@@ -151,7 +137,7 @@ func RunChaos(s Scale, seed uint64) (*Table, error) {
 			var id uint32
 			err := both(func(lw *live.Writer) error {
 				var err error
-				id, err = lw.Add(docTerms(i))
+				id, err = lw.Add(live.DocTerms(col.Lex, col.Docs[i]))
 				return err
 			})
 			if err != nil {
@@ -175,7 +161,7 @@ func RunChaos(s Scale, seed uint64) (*Table, error) {
 				var nid uint32
 				err := both(func(lw *live.Writer) error {
 					var err error
-					nid, err = lw.Update(id, docTerms(doc))
+					nid, err = lw.Update(id, live.DocTerms(col.Lex, col.Docs[doc]))
 					return err
 				})
 				if err != nil {

@@ -80,17 +80,7 @@ func RunHot(s Scale, seed uint64) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: %w", err)
 	}
-	namesOf := func(qs []collection.Query) [][]string {
-		out := make([][]string, len(qs))
-		for i, q := range qs {
-			out[i] = make([]string, len(q.Terms))
-			for j, term := range q.Terms {
-				out[i][j] = col.Lex.Name(term)
-			}
-		}
-		return out
-	}
-	namesA, namesB := namesOf(setA), namesOf(setB)
+	namesA, namesB := queryNames(col.Lex, setA), queryNames(col.Lex, setB)
 
 	// The Zipf request stream: heavy repetition of the head queries —
 	// the access pattern a result cache exists for.
@@ -135,14 +125,6 @@ func RunHot(s Scale, seed uint64) (*Table, error) {
 	defer blkDone()
 	all := []*live.Writer{off, on, blk}
 
-	docTerms := func(i int) []live.TermCount {
-		d := &col.Docs[i]
-		terms := make([]live.TermCount, len(d.Terms))
-		for j, tf := range d.Terms {
-			terms[j] = live.TermCount{Term: col.Lex.Name(tf.Term), TF: tf.TF}
-		}
-		return terms
-	}
 	each := func(op func(w *live.Writer) error) error {
 		for _, w := range all {
 			if err := op(w); err != nil {
@@ -155,7 +137,7 @@ func RunHot(s Scale, seed uint64) (*Table, error) {
 	for c := 0; c < 2; c++ {
 		lo, hi := c*docs/2, (c+1)*docs/2
 		for i := lo; i < hi; i++ {
-			if err := each(func(w *live.Writer) error { _, err := w.Add(docTerms(i)); return err }); err != nil {
+			if err := each(func(w *live.Writer) error { _, err := w.Add(live.DocTerms(col.Lex, col.Docs[i])); return err }); err != nil {
 				return nil, fmt.Errorf("bench: HOT ingest doc %d: %w", i, err)
 			}
 		}
@@ -351,7 +333,7 @@ func RunHot(s Scale, seed uint64) (*Table, error) {
 			}
 		}
 		for i := 0; i < 20; i++ {
-			if _, err := w.Add(docTerms(i)); err != nil {
+			if _, err := w.Add(live.DocTerms(col.Lex, col.Docs[i])); err != nil {
 				return err
 			}
 		}

@@ -84,21 +84,7 @@ func RunLive(s Scale, seed uint64, sealDocs, fanIn int, churn float64) (*Table, 
 		Metrics: map[string]float64{},
 	}
 
-	names := make([][]string, len(w.Queries))
-	for i, q := range w.Queries {
-		names[i] = make([]string, len(q.Terms))
-		for j, term := range q.Terms {
-			names[i][j] = w.Col.Lex.Name(term)
-		}
-	}
-	docTerms := func(i int) []live.TermCount {
-		d := &w.Col.Docs[i]
-		terms := make([]live.TermCount, len(d.Terms))
-		for j, tf := range d.Terms {
-			terms[j] = live.TermCount{Term: w.Col.Lex.Name(tf.Term), TF: tf.TF}
-		}
-		return terms
-	}
+	names := w.QueryNames()
 
 	// Alive bookkeeping: content[g] is the collection document the live
 	// global id g currently carries (updates re-ingest the same content
@@ -118,7 +104,7 @@ func RunLive(s Scale, seed uint64, sealDocs, fanIn int, churn float64) (*Table, 
 
 		start := time.Now()
 		for i := lo; i < hi; i++ {
-			id, err := lw.Add(docTerms(i))
+			id, err := lw.Add(live.DocTerms(w.Col.Lex, w.Col.Docs[i]))
 			if err != nil {
 				return nil, fmt.Errorf("bench: LIVE ingest doc %d: %w", i, err)
 			}
@@ -142,7 +128,7 @@ func RunLive(s Scale, seed uint64, sealDocs, fanIn int, churn float64) (*Table, 
 				}
 				deleted++
 			} else {
-				nid, err := lw.Update(id, docTerms(doc))
+				nid, err := lw.Update(id, live.DocTerms(w.Col.Lex, w.Col.Docs[doc]))
 				if err != nil {
 					return nil, fmt.Errorf("bench: LIVE update doc %d: %w", id, err)
 				}

@@ -63,13 +63,7 @@ func RunLoad(s Scale, seed uint64, loadRate float64, loadRequests int) (*Table, 
 	const serviceFloor = 2 * time.Millisecond
 	burst := 50 * (maxInFlight + queueDepth)
 
-	names := make([][]string, len(w.Queries))
-	for i, q := range w.Queries {
-		names[i] = make([]string, len(q.Terms))
-		for j, term := range q.Terms {
-			names[i][j] = w.Col.Lex.Name(term)
-		}
-	}
+	names := w.QueryNames()
 
 	dir, err := os.MkdirTemp("", "topn-load-*")
 	if err != nil {
@@ -87,12 +81,7 @@ func RunLoad(s Scale, seed uint64, loadRate float64, loadRequests int) (*Table, 
 		}
 	}()
 	for i := range w.Col.Docs {
-		d := &w.Col.Docs[i]
-		terms := make([]live.TermCount, len(d.Terms))
-		for j, tf := range d.Terms {
-			terms[j] = live.TermCount{Term: w.Col.Lex.Name(tf.Term), TF: tf.TF}
-		}
-		if _, err := lw.Add(terms); err != nil {
+		if _, err := lw.Add(live.DocTerms(w.Col.Lex, w.Col.Docs[i])); err != nil {
 			return nil, fmt.Errorf("bench: LOAD ingest doc %d: %w", i, err)
 		}
 	}

@@ -50,13 +50,7 @@ func RunRepl(s Scale, seed uint64) (*Table, error) {
 	}
 	const n = 10
 	const batches = 4
-	names := make([][]string, len(w.Queries))
-	for i, q := range w.Queries {
-		names[i] = make([]string, len(q.Terms))
-		for j, term := range q.Terms {
-			names[i][j] = w.Col.Lex.Name(term)
-		}
-	}
+	names := w.QueryNames()
 
 	leaderDir, err := os.MkdirTemp("", "topn-repl-leader-*")
 	if err != nil {
@@ -132,12 +126,7 @@ func RunRepl(s Scale, seed uint64) (*Table, error) {
 			hi = len(w.Col.Docs)
 		}
 		for i := lo; i < hi; i++ {
-			d := &w.Col.Docs[i]
-			terms := make([]live.TermCount, len(d.Terms))
-			for j, tf := range d.Terms {
-				terms[j] = live.TermCount{Term: w.Col.Lex.Name(tf.Term), TF: tf.TF}
-			}
-			id, err := lw.Add(terms)
+			id, err := lw.Add(live.DocTerms(w.Col.Lex, w.Col.Docs[i]))
 			if err != nil {
 				return nil, fmt.Errorf("bench: REPL ingest doc %d: %w", i, err)
 			}
@@ -425,12 +414,7 @@ func replIngestExtra(lw *live.Writer, w *Workload, lo, hi int) error {
 		hi = len(w.Col.Docs)
 	}
 	for i := lo; i < hi; i++ {
-		d := &w.Col.Docs[i]
-		terms := make([]live.TermCount, len(d.Terms))
-		for j, tf := range d.Terms {
-			terms[j] = live.TermCount{Term: w.Col.Lex.Name(tf.Term), TF: tf.TF}
-		}
-		if _, err := lw.Add(terms); err != nil {
+		if _, err := lw.Add(live.DocTerms(w.Col.Lex, w.Col.Docs[i])); err != nil {
 			return fmt.Errorf("bench: REPL ingest extra doc %d: %w", i, err)
 		}
 	}

@@ -208,21 +208,7 @@ func runTunePolicy(w *Workload, shape tuneShape, pol tunePolicy, sealDocs int, s
 	}
 	defer lw.Close()
 
-	names := make([][]string, len(w.Queries))
-	for i, q := range w.Queries {
-		names[i] = make([]string, len(q.Terms))
-		for j, term := range q.Terms {
-			names[i][j] = w.Col.Lex.Name(term)
-		}
-	}
-	docTerms := func(i int) []live.TermCount {
-		d := &w.Col.Docs[i]
-		terms := make([]live.TermCount, len(d.Terms))
-		for j, tf := range d.Terms {
-			terms[j] = live.TermCount{Term: w.Col.Lex.Name(tf.Term), TF: tf.TF}
-		}
-		return terms
-	}
+	names := w.QueryNames()
 
 	o := &tuneOutcome{}
 	var aliveIDs []uint32
@@ -262,7 +248,7 @@ func runTunePolicy(w *Workload, shape tuneShape, pol tunePolicy, sealDocs int, s
 		lo := b * len(w.Col.Docs) / shape.batches
 		hi := (b + 1) * len(w.Col.Docs) / shape.batches
 		for i := lo; i < hi; i++ {
-			id, err := lw.Add(docTerms(i))
+			id, err := lw.Add(live.DocTerms(w.Col.Lex, w.Col.Docs[i]))
 			if err != nil {
 				return nil, fmt.Errorf("ingest doc %d: %w", i, err)
 			}

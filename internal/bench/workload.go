@@ -6,6 +6,7 @@ import (
 	"repro/internal/collection"
 	"repro/internal/core"
 	"repro/internal/index"
+	"repro/internal/lexicon"
 	"repro/internal/rank"
 	"repro/internal/storage"
 )
@@ -17,6 +18,22 @@ type Workload struct {
 	Queries []collection.Query
 	Disk    *storage.Disk
 	Pool    *storage.Pool
+}
+
+// QueryNames spells the workload's queries out as term names, the form
+// the live and serving layers take.
+func (w *Workload) QueryNames() [][]string { return queryNames(w.Col.Lex, w.Queries) }
+
+// queryNames maps each query's term ids to their names in lex.
+func queryNames(lex *lexicon.Lexicon, qs []collection.Query) [][]string {
+	names := make([][]string, len(qs))
+	for i, q := range qs {
+		names[i] = make([]string, len(q.Terms))
+		for j, term := range q.Terms {
+			names[i][j] = lex.Name(term)
+		}
+	}
+	return names
 }
 
 // workloadParams sizes a workload per scale.

@@ -39,10 +39,10 @@ func TestSearchContextPreCancelled(t *testing.T) {
 	if _, err := f.engine.SearchContext(ctx, q, Options{N: 10, Mode: ModeFull}); !errors.Is(err, context.Canceled) {
 		t.Errorf("Engine: err = %v, want context.Canceled", err)
 	}
-	if _, err := ms.SearchContext(ctx, q, 10); !errors.Is(err, context.Canceled) {
+	if _, err := ms.SearchContextInto(ctx, q, 10, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("MaxScore: err = %v, want context.Canceled", err)
 	}
-	if _, err := p.SearchContext(ctx, q, ProgressiveOptions{N: 10}); !errors.Is(err, context.Canceled) {
+	if _, err := p.SearchContextInto(ctx, q, ProgressiveOptions{N: 10}, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("Progressive: err = %v, want context.Canceled", err)
 	}
 }
@@ -61,10 +61,10 @@ func TestSearchContextMidQueryCancel(t *testing.T) {
 	if _, err := f.engine.SearchContext(newStepCancel(2), q, Options{N: 10, Mode: ModeFull}); !errors.Is(err, context.Canceled) {
 		t.Errorf("Engine: err = %v, want context.Canceled", err)
 	}
-	if _, err := ms.SearchContext(newStepCancel(2), q, 10); !errors.Is(err, context.Canceled) {
+	if _, err := ms.SearchContextInto(newStepCancel(2), q, 10, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("MaxScore: err = %v, want context.Canceled", err)
 	}
-	if _, err := p.SearchContext(newStepCancel(2), q, ProgressiveOptions{N: 10}); !errors.Is(err, context.Canceled) {
+	if _, err := p.SearchContextInto(newStepCancel(2), q, ProgressiveOptions{N: 10}, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("Progressive: err = %v, want context.Canceled", err)
 	}
 }
@@ -79,7 +79,7 @@ func TestSearchContextCancelEveryDepth(t *testing.T) {
 	q := fix(t).freqQueries[1]
 
 	probe := newStepCancel(1 << 62) // never fires; counts the polls
-	want, err := ms.SearchContext(probe, q, 10)
+	want, err := ms.SearchContextInto(probe, q, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestSearchContextCancelEveryDepth(t *testing.T) {
 	}
 	step := total/32 + 1 // ~32 sample points across the traversal
 	for after := int64(0); after <= total; after += step {
-		got, err := ms.SearchContext(newStepCancel(after), q, 10)
+		got, err := ms.SearchContextInto(newStepCancel(after), q, 10, nil)
 		if err == nil {
 			// The poll sequence can legitimately be shorter here (the
 			// stop-early paths) — but then the answer must be the truth.
@@ -105,7 +105,7 @@ func TestSearchContextCancelEveryDepth(t *testing.T) {
 			t.Fatalf("after=%d: cancelled search returned partial results", after)
 		}
 	}
-	got, err := ms.SearchContext(newStepCancel(total+1), q, 10)
+	got, err := ms.SearchContextInto(newStepCancel(total+1), q, 10, nil)
 	if err != nil {
 		t.Fatalf("after=total: %v", err)
 	}

@@ -196,15 +196,10 @@ func (c *msCursor) seekGE(doc uint32) error {
 
 // Search returns the exact top N for q. The result always equals full
 // evaluation (verified by the test suite); only the work differs. It is
-// SearchContext without cancellation.
+// SearchShared without cancellation, destination buffer or shared
+// threshold.
 func (m *MaxScoreEngine) Search(q collection.Query, n int) ([]rank.DocScore, error) {
-	return m.SearchContext(context.Background(), q, n)
-}
-
-// SearchContext returns the exact top N for q, observing ctx. It is
-// SearchContextInto with a nil destination buffer.
-func (m *MaxScoreEngine) SearchContext(ctx context.Context, q collection.Query, n int) ([]rank.DocScore, error) {
-	return m.SearchContextInto(ctx, q, n, nil)
+	return m.SearchShared(context.Background(), q, n, nil, nil)
 }
 
 // SearchContextInto returns the exact top N for q appended to dst,

@@ -131,16 +131,10 @@ type ProgressiveOptions struct {
 	Epsilon float64
 }
 
-// Search evaluates q over the chain. It is SearchContext without
-// cancellation.
+// Search evaluates q over the chain. It is SearchContextInto without
+// cancellation or a destination buffer.
 func (p *Progressive) Search(q collection.Query, opts ProgressiveOptions) (ProgressiveResult, error) {
-	return p.SearchContext(context.Background(), q, opts)
-}
-
-// SearchContext evaluates q over the chain, observing ctx. It is
-// SearchContextInto with a nil destination buffer.
-func (p *Progressive) SearchContext(ctx context.Context, q collection.Query, opts ProgressiveOptions) (ProgressiveResult, error) {
-	return p.SearchContextInto(ctx, q, opts, nil)
+	return p.SearchContextInto(context.Background(), q, opts, nil)
 }
 
 // SearchContextInto evaluates q over the chain with the result's Top

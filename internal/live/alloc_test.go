@@ -12,8 +12,9 @@ import (
 // the shape the timed benchmark serves: seven segments, two workers,
 // 2-6-term queries, N = 10. The engines allocate nothing once warm (the
 // gates in internal/core); what is left is live's own fan-out — the
-// resolved ids, the derived context, one leg table and one result buffer
-// for all segments, one goroutine beside the caller's, the merge. Not run
+// resolved ids, one leg table and one result buffer for all segments,
+// parallel.Gather's context, error table and one goroutine beside the
+// caller's, the merge. Not run
 // under the race detector, which makes sync.Pool drop Puts at random.
 func TestLiveSearchAllocs(t *testing.T) {
 	col := genCollection(t, 1530, 61)
@@ -52,9 +53,8 @@ func TestLiveSearchAllocs(t *testing.T) {
 		search(q)
 		total += testing.AllocsPerRun(10, func() { search(q) })
 	}
-	// 39 when every segment had its own goroutine, result slice and
-	// threshold; 16 now. The ceiling leaves room for a toolchain's
-	// difference, not for a per-segment allocation to come back.
+	// 17 measured. The ceiling leaves room for a toolchain's difference,
+	// not for a per-segment allocation to come back.
 	const ceiling = 20
 	if mean := total / float64(len(queries)); mean > ceiling {
 		t.Fatalf("a live search allocates %.1f times on average, want at most %d", mean, ceiling)

@@ -359,7 +359,7 @@ func TestCacheChurnEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xcafe))
 	alive := make([]uint32, 0, len(col.Docs))
 	for i := range col.Docs {
-		terms := docTerms(col, &col.Docs[i])
+		terms := DocTerms(col.Lex, col.Docs[i])
 		idOn, err := on.Add(terms)
 		if err != nil {
 			t.Fatal(err)

@@ -98,7 +98,7 @@ func TestConcurrentChurn(t *testing.T) {
 		go func(g int) {
 			defer writeWG.Done()
 			for i := g; i < len(col.Docs); i += inserters {
-				id, err := w.Add(docTerms(col, &col.Docs[i]))
+				id, err := w.Add(DocTerms(col.Lex, col.Docs[i]))
 				if err != nil {
 					t.Errorf("add: %v", err)
 					return
@@ -137,7 +137,7 @@ func TestConcurrentChurn(t *testing.T) {
 				time.Sleep(time.Millisecond)
 				continue
 			}
-			nid, err := w.Update(id, docTerms(col, &col.Docs[doc]))
+			nid, err := w.Update(id, DocTerms(col.Lex, col.Docs[doc]))
 			if err != nil {
 				t.Errorf("update %d: %v", id, err)
 				return

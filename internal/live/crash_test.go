@@ -58,7 +58,7 @@ func buildChurnedDir(t *testing.T, dir string, merge bool) (*churnState, []uint3
 	}
 	st := newChurnState()
 	for i := range col.Docs {
-		id, err := w.Add(docTerms(col, &col.Docs[i]))
+		id, err := w.Add(DocTerms(col.Lex, col.Docs[i]))
 		if err != nil {
 			t.Fatal(err)
 		}

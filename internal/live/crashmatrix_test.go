@@ -107,7 +107,7 @@ func TestCrashPointMatrix(t *testing.T) {
 			// tombstones, empty buffer.
 			st := newChurnState()
 			for i := 0; i < 300; i++ {
-				id, err := w.Add(docTerms(col, &col.Docs[i]))
+				id, err := w.Add(DocTerms(col.Lex, col.Docs[i]))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -134,7 +134,7 @@ func TestCrashPointMatrix(t *testing.T) {
 			switch {
 			case strings.HasPrefix(string(cp), "seal:"):
 				for i := 300; i < 330; i++ {
-					if _, err := w.Add(docTerms(col, &col.Docs[i])); err != nil {
+					if _, err := w.Add(DocTerms(col.Lex, col.Docs[i])); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -238,7 +238,7 @@ func TestCrashPointMatrix(t *testing.T) {
 
 			// The recovered writer is fully functional: it accepts writes,
 			// seals, and serves them.
-			if _, err := rw.Add(docTerms(col, &col.Docs[0])); err != nil {
+			if _, err := rw.Add(DocTerms(col.Lex, col.Docs[0])); err != nil {
 				t.Fatalf("recovered writer rejects writes: %v", err)
 			}
 			if err := rw.Flush(); err != nil {

@@ -115,7 +115,7 @@ func TestDeleteEquivalence(t *testing.T) {
 	for next < len(col.Docs) {
 		switch op := rng.Intn(10); {
 		case op < 6 || len(st.alive) < 10:
-			id, err := w.Add(docTerms(col, &col.Docs[next]))
+			id, err := w.Add(DocTerms(col.Lex, col.Docs[next]))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +128,7 @@ func TestDeleteEquivalence(t *testing.T) {
 			}
 		case op == 8: // update: same content, fresh id
 			id, doc := st.removeAt(rng.Intn(len(st.alive)))
-			nid, err := w.Update(id, docTerms(col, &col.Docs[doc]))
+			nid, err := w.Update(id, DocTerms(col.Lex, col.Docs[doc]))
 			if err != nil {
 				t.Fatalf("update %d: %v", id, err)
 			}
@@ -320,7 +320,7 @@ func TestDeleteBufferedAndErrors(t *testing.T) {
 	defer w.Close()
 	st := newChurnState()
 	for i := range col.Docs {
-		id, err := w.Add(docTerms(col, &col.Docs[i]))
+		id, err := w.Add(DocTerms(col.Lex, col.Docs[i]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -430,7 +430,7 @@ func TestPurgeRewrite(t *testing.T) {
 	defer w.Close()
 	st := newChurnState()
 	for i := range col.Docs {
-		id, err := w.Add(docTerms(col, &col.Docs[i]))
+		id, err := w.Add(DocTerms(col.Lex, col.Docs[i]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -514,7 +514,7 @@ func TestDeleteReopen(t *testing.T) {
 	st := newChurnState()
 	half := len(col.Docs) / 2
 	for i := 0; i < half; i++ {
-		id, err := w.Add(docTerms(col, &col.Docs[i]))
+		id, err := w.Add(DocTerms(col.Lex, col.Docs[i]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -583,14 +583,14 @@ func TestDeleteReopen(t *testing.T) {
 
 	// The reopened writer keeps accepting — and deleting — new work.
 	for i := half; i < len(col.Docs); i++ {
-		id, err := w2.Add(docTerms(col, &col.Docs[i]))
+		id, err := w2.Add(DocTerms(col.Lex, col.Docs[i]))
 		if err != nil {
 			t.Fatal(err)
 		}
 		st.add(id, i)
 	}
 	id, _ := st.removeAt(len(st.alive) - 3)
-	nid, err := w2.Update(id, docTerms(col, &col.Docs[0]))
+	nid, err := w2.Update(id, DocTerms(col.Lex, col.Docs[0]))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,7 +142,7 @@ func TestApplyManifestInstallsLeaderState(t *testing.T) {
 	defer lw.Close()
 	// Two sealed generations with tombstones in the first.
 	for i := 0; i < 200; i++ {
-		if _, err := lw.Add(docTerms(col, &col.Docs[i])); err != nil {
+		if _, err := lw.Add(DocTerms(col.Lex, col.Docs[i])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,7 +150,7 @@ func TestApplyManifestInstallsLeaderState(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 200; i < 400; i++ {
-		if _, err := lw.Add(docTerms(col, &col.Docs[i])); err != nil {
+		if _, err := lw.Add(DocTerms(col.Lex, col.Docs[i])); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -76,14 +76,24 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/cost"
-	"repro/internal/rank"
+	"repro/internal/collection"
+	"repro/internal/lexicon"
 	"repro/internal/storage"
 	"repro/internal/tune"
 )
 
 // ErrClosed is returned by operations on a closed Writer.
 var ErrClosed = errors.New("live: writer is closed")
+
+const (
+	// sealTokens seals the buffer when it holds this many tokens, however
+	// few documents that is.
+	sealTokens = 1 << 20
+	// mergeTierFactor is the size spread a merged run may have: every
+	// segment in it holds at most this factor times the run's smallest
+	// segment's documents.
+	mergeTierFactor = 3
+)
 
 // Config sizes a live index. Zero values take the documented defaults.
 type Config struct {
@@ -93,9 +103,6 @@ type Config struct {
 	// SealDocs seals the buffer when it holds this many documents.
 	// Default 512.
 	SealDocs int
-	// SealTokens seals the buffer when it holds this many tokens.
-	// Default 1<<20.
-	SealTokens int64
 	// FlushEvery seals a non-empty buffer at this interval from a
 	// background goroutine, bounding search-visibility latency under
 	// trickle writes. 0 (default) disables the timer; Flush remains
@@ -104,21 +111,12 @@ type Config struct {
 	// PoolPages is the buffer-pool capacity, in pages, each open segment
 	// is served through. Default 64, floor 8.
 	PoolPages int
-	// Scorer ranks searches. Default rank.NewBM25().
-	Scorer rank.Scorer
 	// Workers bounds the per-search segment fan-out. Default
 	// runtime.GOMAXPROCS(0).
 	Workers int
 	// MergeFanIn is the run length the tiered merge policy looks for.
 	// Default 4.
 	MergeFanIn int
-	// MergeTierFactor is the size spread a run may have: every segment in
-	// a merged run holds at most this factor times the run's smallest
-	// segment's documents. Default 3.
-	MergeTierFactor float64
-	// MaxMergeDocs caps the document count of a merged segment; runs that
-	// would exceed it are not merged. 0 (default) means no cap.
-	MaxMergeDocs int
 	// MergeHorizon is the amortization horizon, in queries, the cost
 	// model uses to decide whether a merge pays for itself
 	// (cost.MergeEstimate.Worthwhile). Valid range: >= 0. Default (0)
@@ -126,9 +124,6 @@ type Config struct {
 	// every merge non-worthwhile and silently disable background
 	// compaction forever.
 	MergeHorizon int
-	// PageWeight converts page touches into decode units for the merge
-	// cost model. Default cost.DefaultPageWeight.
-	PageWeight float64
 	// BackgroundMerge starts the merger goroutine. When false, merges
 	// only run through MergeAll — the deterministic mode the benchmark
 	// harness uses.
@@ -204,17 +199,11 @@ func (c *Config) fillDefaults() {
 	if c.SealDocs == 0 {
 		c.SealDocs = 512
 	}
-	if c.SealTokens == 0 {
-		c.SealTokens = 1 << 20
-	}
 	if c.PoolPages == 0 {
 		c.PoolPages = 64
 	}
 	if c.PoolPages < 8 {
 		c.PoolPages = 8
-	}
-	if c.Scorer == nil {
-		c.Scorer = rank.NewBM25()
 	}
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -222,14 +211,8 @@ func (c *Config) fillDefaults() {
 	if c.MergeFanIn == 0 {
 		c.MergeFanIn = 4
 	}
-	if c.MergeTierFactor == 0 {
-		c.MergeTierFactor = 3
-	}
 	if c.MergeHorizon == 0 {
 		c.MergeHorizon = 1000
-	}
-	if c.PageWeight == 0 {
-		c.PageWeight = cost.DefaultPageWeight
 	}
 	if c.PurgeDeadFrac == 0 {
 		c.PurgeDeadFrac = 0.5
@@ -244,6 +227,16 @@ func (c *Config) fillDefaults() {
 type TermCount struct {
 	Term string
 	TF   int32
+}
+
+// DocTerms spells out d's term bag by name through lex, the lexicon d's
+// term ids belong to: the form Writer.Add and Writer.Update take.
+func DocTerms(lex *lexicon.Lexicon, d collection.Document) []TermCount {
+	terms := make([]TermCount, len(d.Terms))
+	for i, tf := range d.Terms {
+		terms[i] = TermCount{Term: lex.Name(tf.Term), TF: tf.TF}
+	}
+	return terms
 }
 
 // WriterStats is a point-in-time snapshot of the writer's accounting.

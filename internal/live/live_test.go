@@ -34,16 +34,6 @@ func genQueries(t testing.TB, col *collection.Collection, seed uint64) []collect
 	return qs
 }
 
-// docTerms converts one collection document into the writer's term-bag
-// input.
-func docTerms(col *collection.Collection, d *collection.Document) []TermCount {
-	out := make([]TermCount, len(d.Terms))
-	for i, tf := range d.Terms {
-		out[i] = TermCount{Term: col.Lex.Name(tf.Term), TF: tf.TF}
-	}
-	return out
-}
-
 // queryNames maps a collection query to term strings.
 func queryNames(col *collection.Collection, q collection.Query) []string {
 	out := make([]string, len(q.Terms))
@@ -58,7 +48,7 @@ func queryNames(col *collection.Collection, q collection.Query) []string {
 func streamInto(t testing.TB, w *Writer, col *collection.Collection) {
 	t.Helper()
 	for i := range col.Docs {
-		id, err := w.Add(docTerms(col, &col.Docs[i]))
+		id, err := w.Add(DocTerms(col.Lex, col.Docs[i]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +191,7 @@ func TestLiveReopen(t *testing.T) {
 	}
 	half := len(col.Docs) / 2
 	for i := 0; i < half; i++ {
-		if _, err := w.Add(docTerms(col, &col.Docs[i])); err != nil {
+		if _, err := w.Add(DocTerms(col.Lex, col.Docs[i])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -243,7 +233,7 @@ func TestLiveReopen(t *testing.T) {
 		assertSameTop(t, "reopen", res.Top, want[i])
 	}
 	for i := half; i < len(col.Docs); i++ {
-		if id, err := w2.Add(docTerms(col, &col.Docs[i])); err != nil {
+		if id, err := w2.Add(DocTerms(col.Lex, col.Docs[i])); err != nil {
 			t.Fatal(err)
 		} else if id != uint32(i) {
 			t.Fatalf("doc %d assigned id %d after reopen", i, id)
@@ -298,14 +288,14 @@ func TestMergeSnapshotExcludesBufferedStats(t *testing.T) {
 	}
 	const sealed = 200 // 4 × SealDocs: seals exactly at the boundary
 	for i := 0; i < sealed; i++ {
-		if _, err := w.Add(docTerms(col, &col.Docs[i])); err != nil {
+		if _, err := w.Add(DocTerms(col.Lex, col.Docs[i])); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// A tail strictly under SealDocs: recorded into the master lexicon
 	// but never sealed.
 	for i := sealed; i < sealed+49; i++ {
-		if _, err := w.Add(docTerms(col, &col.Docs[i])); err != nil {
+		if _, err := w.Add(DocTerms(col.Lex, col.Docs[i])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -364,7 +354,7 @@ func TestMergeSnapshotExcludesBufferedStats(t *testing.T) {
 	// Re-adding the lost tail must land on the full-corpus statistics —
 	// no double counting.
 	for i := sealed; i < len(col.Docs); i++ {
-		if _, err := w2.Add(docTerms(col, &col.Docs[i])); err != nil {
+		if _, err := w2.Add(DocTerms(col.Lex, col.Docs[i])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -437,7 +427,7 @@ func BenchmarkLiveIngest(b *testing.B) {
 	defer w.Close()
 	docs := make([][]TermCount, len(col.Docs))
 	for i := range col.Docs {
-		docs[i] = docTerms(col, &col.Docs[i])
+		docs[i] = DocTerms(col.Lex, col.Docs[i])
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -458,7 +448,7 @@ func BenchmarkLiveSearch(b *testing.B) {
 	}
 	defer w.Close()
 	for i := range col.Docs {
-		if _, err := w.Add(docTerms(col, &col.Docs[i])); err != nil {
+		if _, err := w.Add(DocTerms(col.Lex, col.Docs[i])); err != nil {
 			b.Fatal(err)
 		}
 	}

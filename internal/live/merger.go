@@ -321,7 +321,7 @@ func (w *Writer) adoptMergedBitmapLocked(merged *segment, run []*segment) error 
 //
 // Untuned (Config.Tune nil), the static policy: tiered compaction first
 // — the smallest window of MergeFanIn adjacent segments whose sizes sit
-// within one tier (max ≤ TierFactor × min), capped by MaxMergeDocs, and
+// within one tier (max ≤ mergeTierFactor × min), and
 // worth its one-time cost per the internal/cost model. When no tiered
 // run qualifies, the purge rule applies: the segment with the highest
 // fraction of tombstoned-but-still-stored documents, once that fraction
@@ -365,7 +365,7 @@ func (w *Writer) planTunedLocked() *mergePlan {
 	}
 	weight := tn.PageWeight()
 	if weight <= 0 {
-		weight = w.cfg.PageWeight
+		weight = cost.DefaultPageWeight
 	}
 	horizon := tn.Horizon(w.cfg.MergeHorizon)
 	ratio := tn.CostRatio()
@@ -430,10 +430,10 @@ func (w *Writer) planTunedLocked() *mergePlan {
 }
 
 // tieredWindowOKLocked checks the structural constraints a tiered merge
-// window must satisfy regardless of pricing: healthy inputs, one size
-// tier, and the MaxMergeDocs cap.
+// window must satisfy regardless of pricing: healthy inputs and one size
+// tier.
 func (w *Writer) tieredWindowOKLocked(run []*segment) bool {
-	minDocs, maxDocs, total := run[0].docs, run[0].docs, int64(0)
+	minDocs, maxDocs := run[0].docs, run[0].docs
 	for _, s := range run {
 		if s.quarantined.Load() {
 			return false
@@ -444,15 +444,8 @@ func (w *Writer) tieredWindowOKLocked(run []*segment) bool {
 		if s.docs > maxDocs {
 			maxDocs = s.docs
 		}
-		total += int64(s.docs)
 	}
-	if float64(maxDocs) > w.cfg.MergeTierFactor*float64(minDocs) {
-		return false
-	}
-	if w.cfg.MaxMergeDocs > 0 && total > int64(w.cfg.MaxMergeDocs) {
-		return false
-	}
-	return true
+	return maxDocs <= mergeTierFactor*minDocs
 }
 
 func (w *Writer) planTieredLocked() []*segment {
@@ -467,7 +460,7 @@ func (w *Writer) planTieredLocked() []*segment {
 		// A quarantined segment cannot be read reliably; merging it would
 		// either fail or launder damaged data into a fresh segment.
 		// Reverify must clear it first. (tieredWindowOKLocked also
-		// enforces the tier spread and the MaxMergeDocs cap.)
+		// enforces the tier spread.)
 		if !w.tieredWindowOKLocked(run) {
 			continue
 		}
@@ -482,7 +475,7 @@ func (w *Writer) planTieredLocked() []*segment {
 		for j, s := range run {
 			stats[j] = segStats(s)
 		}
-		est, err := cost.EstimateMerge(stats, defaultTermsPerQuery, w.cfg.PageWeight)
+		est, err := cost.EstimateMerge(stats, defaultTermsPerQuery, cost.DefaultPageWeight)
 		if err != nil || !est.Worthwhile(w.cfg.MergeHorizon) {
 			continue
 		}

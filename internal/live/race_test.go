@@ -41,7 +41,7 @@ func TestConcurrentInsertMergeSearch(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := g; i < len(col.Docs); i += inserters {
-				if _, err := w.Add(docTerms(col, &col.Docs[i])); err != nil {
+				if _, err := w.Add(DocTerms(col.Lex, col.Docs[i])); err != nil {
 					t.Errorf("add: %v", err)
 					return
 				}

@@ -2,14 +2,13 @@ package live
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/collection"
 	"repro/internal/lexicon"
+	"repro/internal/parallel"
 	"repro/internal/rank"
 	"repro/internal/topk"
 	"repro/internal/tune"
@@ -123,12 +122,11 @@ func (s *Snapshot) Search(terms []string, n int) (Result, error) {
 	return s.SearchContext(context.Background(), terms, n)
 }
 
-// SearchContext evaluates the query like Search, observing ctx: segment
-// engines poll it at postings-block granularity, segments not yet
-// launched when it fires are never scheduled, and one segment's failure
-// cancels its siblings — a failed or abandoned query stops costing
-// decode work across the whole chain instead of running every remaining
-// segment to completion.
+// SearchContext evaluates the query like Search, observing ctx under
+// parallel.Gather's rules; segment engines poll it at postings-block
+// granularity, so a failed or abandoned query stops costing decode work
+// across the whole chain instead of running every remaining segment to
+// completion.
 //
 // Data faults are the exception to sibling cancellation: a segment
 // whose pages cannot be read (or fail their checksums past the retry
@@ -159,7 +157,6 @@ func (s *Snapshot) resolve(terms []string) []lexicon.TermID {
 // result buffer its engine appends into, and how its search ended.
 type segLeg struct {
 	top     []rank.DocScore // the window, then the results in it (global ids)
-	err     error           // a failure that fails the query
 	skipped bool            // quarantined: not part of the answer
 	faulted bool            // quarantined by this very pass
 }
@@ -197,12 +194,6 @@ func (s *Snapshot) searchIDs(ctx context.Context, ids []lexicon.TermID, n int) (
 	}
 	q := collection.Query{Terms: ids}
 
-	// One segment's failure cancels the siblings through this derived
-	// context; ctx.Err() stays the caller's own signal. Data faults do
-	// NOT cancel: the sick segment is quarantined and skipped while its
-	// siblings run to completion.
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	// Every engine appends into its own window of one buffer. A segment
 	// returns at most min(n, its documents) results, so the buffer is
 	// bounded by the snapshot's size however large the request's n.
@@ -221,13 +212,17 @@ func (s *Snapshot) searchIDs(ctx context.Context, ids []lexicon.TermID, n int) (
 	// the answer earns it and the small ones prune against it from their
 	// first candidate.
 	var th *topk.Threshold
-	searchSeg := func(i int) {
+	// A data fault does not fail the leg, so it cancels no sibling: the
+	// sick segment is quarantined and skipped while the rest run to
+	// completion.
+	searchSeg := func(ctx context.Context, k int) error {
+		i := g.order[k]
 		leg := &legs[i]
 		if g.segs[i].quarantined.Load() {
 			leg.skipped = true
-			return
+			return nil
 		}
-		top, err := g.engines[i].SearchShared(sctx, q, n, leg.top, th)
+		top, err := g.engines[i].SearchShared(ctx, q, n, leg.top, th)
 		if err != nil {
 			if isDataFault(err) {
 				// The media failed, not the query: quarantine the segment
@@ -237,35 +232,16 @@ func (s *Snapshot) searchIDs(ctx context.Context, ids []lexicon.TermID, n int) (
 					s.fc.quarantines.Add(1)
 				}
 				leg.skipped, leg.faulted = true, true
-				return
+				return nil
 			}
-			leg.err = err
-			cancel()
-			return
+			return err
 		}
 		base := g.segs[i].base
 		for j := range top {
 			top[j].DocID += base
 		}
 		leg.top = top
-	}
-	// One worker's share: the next unclaimed segment in g.order until none
-	// is left. Once a sibling has failed or the caller has left, the rest
-	// are marked instead of searched.
-	var next atomic.Int32
-	work := func() {
-		for {
-			k := int(next.Add(1)) - 1
-			if k >= len(g.order) {
-				return
-			}
-			i := g.order[k]
-			if err := sctx.Err(); err != nil {
-				legs[i].err = err
-				continue
-			}
-			searchSeg(i)
-		}
+		return nil
 	}
 	// A segment that faults mid-search may already have raised th by
 	// scores of documents that are then not served: the survivors pruned
@@ -280,35 +256,11 @@ func (s *Snapshot) searchIDs(ctx context.Context, ids []lexicon.TermID, n int) (
 		for i := range legs {
 			legs[i] = segLeg{top: legs[i].top[:0]}
 		}
-		next.Store(0)
-		// The caller's goroutine is one of the workers.
-		var wg sync.WaitGroup
-		for range min(s.workers, len(g.segs)) - 1 {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-		}
-		work()
-		wg.Wait()
-		if !slices.ContainsFunc(legs, func(l segLeg) bool { return l.faulted }) {
-			break
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	// Prefer the root cause: a failing segment cancels its siblings,
-	// whose own errors are then mere context noise.
-	for i := range legs {
-		if err := legs[i].err; err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+		if err := parallel.Gather(ctx, len(g.order), s.workers, searchSeg); err != nil {
 			return Result{}, err
 		}
-	}
-	for i := range legs {
-		if legs[i].err != nil {
-			return Result{}, legs[i].err
+		if !slices.ContainsFunc(legs, func(l segLeg) bool { return l.faulted }) {
+			break
 		}
 	}
 

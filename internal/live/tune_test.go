@@ -59,7 +59,7 @@ func runTunedWorkload(t *testing.T, tn *tune.Tuner) (*Writer, [][]rank.DocScore)
 	s := w.Searcher()
 	qi := 0
 	for i := range col.Docs {
-		if _, err := w.Add(docTerms(col, &col.Docs[i])); err != nil {
+		if _, err := w.Add(DocTerms(col.Lex, col.Docs[i])); err != nil {
 			t.Fatal(err)
 		}
 		// Interleave queries so the tuner observes a mixed stream while
@@ -168,7 +168,7 @@ func TestTunedKnobsReachLive(t *testing.T) {
 	defer wsN.Close()
 	streamInto(t, wt, col)
 	for i := range col.Docs {
-		if _, err := wsN.Add(docTerms(col, &col.Docs[i])); err != nil {
+		if _, err := wsN.Add(DocTerms(col.Lex, col.Docs[i])); err != nil {
 			t.Fatal(err)
 		}
 	}

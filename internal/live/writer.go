@@ -380,7 +380,7 @@ func (w *Writer) recordLocked(doc collection.Document) (global uint32, need bool
 		w.cfg.Tune.ObserveWrite()
 		sealDocs = w.cfg.Tune.SealDocs(sealDocs)
 	}
-	need = len(w.buf) >= sealDocs || w.bufTokens >= w.cfg.SealTokens
+	need = len(w.buf) >= sealDocs || w.bufTokens >= sealTokens
 	return global, need, nil
 }
 
@@ -599,7 +599,7 @@ func (w *Writer) samplePoolLatencyLocked() {
 // ranking with the maintained ledger-tightened snapshot.
 func (w *Writer) installLocked() error {
 	g, err := newGeneration(w.genID, w.tight, w.corpusLocked(),
-		append([]*segment(nil), w.segs...), w.cfg.Scorer)
+		append([]*segment(nil), w.segs...), rank.NewBM25())
 	if err != nil {
 		return err
 	}

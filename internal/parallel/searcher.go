@@ -2,12 +2,9 @@ package parallel
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/collection"
 	"repro/internal/core"
@@ -23,9 +20,9 @@ type Config struct {
 	// to the collection size). Default 1.
 	Shards int
 	// Workers bounds the goroutines one Search call spends on shard
-	// fan-out and one SearchBatch call spends on queries. The bound is
-	// per call: concurrent callers each get their own pool, so a shared
-	// Searcher serving C callers runs up to C×Workers goroutines.
+	// fan-out and one SearchBatch call spends on queries, the caller's
+	// own included. The bound is per call: a shared Searcher serving C
+	// callers runs up to C×Workers goroutines.
 	// Default runtime.GOMAXPROCS(0).
 	Workers int
 	// Cuts are the cumulative postings-volume fractions splitting each
@@ -53,7 +50,7 @@ type Options struct {
 	// in core.ProgressiveOptions. With 0 every shard computes its exact
 	// local top N and the merged answer is certified exact.
 	Epsilon float64
-	// Workers overrides the searcher's configured worker-pool bound for
+	// Workers overrides the searcher's configured worker bound for
 	// this call (0 keeps Config.Workers). Benchmarks use it to sweep
 	// worker counts over one set of shards without rebuilding indexes.
 	Workers int
@@ -119,7 +116,7 @@ func NewSearcher(col *collection.Collection, pool *storage.Pool, scorer rank.Sco
 // configured count clamped to the collection size).
 func (s *Searcher) NumShards() int { return len(s.shards) }
 
-// Workers reports the configured worker-pool bound.
+// Workers reports the configured worker bound.
 func (s *Searcher) Workers() int { return s.cfg.Workers }
 
 // workersFor resolves the effective worker bound for one call.
@@ -130,98 +127,40 @@ func (s *Searcher) workersFor(opts Options) int {
 	return s.cfg.Workers
 }
 
-// Search evaluates q, fanning the shards out over the worker pool and
-// merging their answers with bound administration. It is SearchContext
-// without cancellation.
+// Search evaluates q over every shard and merges their answers with
+// bound administration. It is SearchContext without cancellation.
 func (s *Searcher) Search(q collection.Query, opts Options) (Result, error) {
 	return s.SearchContext(context.Background(), q, opts)
 }
 
-// SearchContext evaluates q like Search, observing ctx: shard engines
-// poll it at postings-block granularity, shards not yet launched when it
-// fires are never scheduled, and a shard failure cancels the siblings
-// still running — so neither a disconnected caller nor a failed shard
-// keeps the fan-out burning CPU.
+// SearchContext evaluates q like Search, observing ctx under Gather's
+// rules; shard engines poll it at postings-block granularity, so neither
+// a disconnected caller nor a failed shard keeps the fan-out burning CPU.
 func (s *Searcher) SearchContext(ctx context.Context, q collection.Query, opts Options) (Result, error) {
-	workers := s.workersFor(opts)
-	return s.search(ctx, q, opts, workers > 1 && len(s.shards) > 1, workers)
+	return s.search(ctx, q, opts, s.workersFor(opts))
 }
 
-// searchSequential evaluates q shard by shard on the calling goroutine.
-// SearchBatch uses it so parallelism comes from the query dimension
-// without multiplying goroutines per query.
-func (s *Searcher) searchSequential(ctx context.Context, q collection.Query, opts Options) (Result, error) {
-	return s.search(ctx, q, opts, false, 1)
-}
-
-// search runs q over every shard — concurrently through a pool of
-// workers goroutines when fanOut is set, inline otherwise — and merges
-// the per-shard answers. One body for both paths, so validation,
-// option plumbing, and merge inputs cannot diverge.
-func (s *Searcher) search(ctx context.Context, q collection.Query, opts Options, fanOut bool, workers int) (Result, error) {
+// search gathers q over every shard on at most workers goroutines and
+// merges the per-shard answers.
+func (s *Searcher) search(ctx context.Context, q collection.Query, opts Options, workers int) (Result, error) {
 	if opts.N <= 0 {
 		return Result{}, fmt.Errorf("parallel: N = %d must be positive", opts.N)
 	}
-	// A shard error cancels the sibling shards through this derived
-	// context; ctx.Err() stays the caller's own signal.
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	shardRes := make([]core.ProgressiveResult, len(s.shards))
-	shardErr := make([]error, len(s.shards))
 	popts := core.ProgressiveOptions{N: opts.N, Epsilon: opts.Epsilon}
-	runShard := func(i int, sh *shard) {
-		shardRes[i], shardErr[i] = sh.engine.SearchContext(sctx, q, popts)
-		if shardErr[i] != nil {
-			cancel()
-		}
-	}
-	if fanOut {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for i, sh := range s.shards {
-			if sctx.Err() != nil {
-				shardErr[i] = sctx.Err()
-				continue // stop scheduling: a sibling failed or the caller left
-			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, sh *shard) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				runShard(i, sh)
-			}(i, sh)
-		}
-		wg.Wait()
-	} else {
-		for i, sh := range s.shards {
-			if sctx.Err() != nil {
-				shardErr[i] = sctx.Err()
-				continue
-			}
-			runShard(i, sh)
-		}
-	}
-	if err := ctx.Err(); err != nil {
+	err := Gather(ctx, len(s.shards), workers, func(ctx context.Context, i int) (err error) {
+		shardRes[i], err = s.shards[i].engine.SearchContextInto(ctx, q, popts, nil)
+		return err
+	})
+	if err != nil {
 		return Result{}, err
 	}
-	return s.merge(shardRes, shardErr, opts.N)
+	return s.merge(shardRes, opts.N), nil
 }
 
 // merge remaps shard-local document ids to global ids and runs the
 // bound-aware top-N merge.
-func (s *Searcher) merge(shardRes []core.ProgressiveResult, shardErr []error, n int) (Result, error) {
-	// Prefer the root cause: a failing shard cancels its siblings, whose
-	// own errors are then mere context noise.
-	for _, err := range shardErr {
-		if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			return Result{}, err
-		}
-	}
-	for _, err := range shardErr {
-		if err != nil {
-			return Result{}, err
-		}
-	}
+func (s *Searcher) merge(shardRes []core.ProgressiveResult, n int) Result {
 	var res Result
 	tops := make([]topk.ShardTop, len(s.shards))
 	for i, r := range shardRes {
@@ -237,7 +176,7 @@ func (s *Searcher) merge(shardRes []core.ProgressiveResult, shardErr []error, n 
 	}
 	res.Top, res.Cert = topk.MergeShardsPartial(tops, n, nil, len(s.shards))
 	res.Exact = res.Cert.Exact
-	return res, nil
+	return res
 }
 
 // BatchResult bundles a batch's per-query answers with the aggregated
@@ -249,13 +188,12 @@ type BatchResult struct {
 	Total exec.Stats
 }
 
-// SearchBatch evaluates queries through a bounded worker pool of
-// Workers goroutines. Each worker processes whole queries (shards
-// evaluated sequentially within the worker), so a batch saturates the
-// pool without goroutine multiplication; per-query results come back in
-// input order. A shard error aborts the batch: queries not yet started
-// when the error surfaces are skipped, and the earliest (by input
-// order) error is returned.
+// SearchBatch gathers the queries over Workers goroutines. Each leg is a
+// whole query (its shards evaluated one after another on the leg's
+// goroutine), so a batch keeps Workers goroutines busy without
+// multiplying them per query; per-query results come back in input
+// order. A failing query aborts the batch under Gather's rules, its
+// running siblings included.
 func (s *Searcher) SearchBatch(queries []collection.Query, opts Options) (BatchResult, error) {
 	return s.SearchBatchContext(context.Background(), queries, opts)
 }
@@ -268,44 +206,12 @@ func (s *Searcher) SearchBatchContext(ctx context.Context, queries []collection.
 		return BatchResult{}, fmt.Errorf("parallel: N = %d must be positive", opts.N)
 	}
 	out := BatchResult{Results: make([]Result, len(queries))}
-	if len(queries) == 0 {
-		return out, nil
-	}
-	workers := s.workersFor(opts)
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	errs := make([]error, len(queries))
-	jobs := make(chan int)
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if failed.Load() || ctx.Err() != nil {
-					continue // drain without evaluating
-				}
-				out.Results[i], errs[i] = s.searchSequential(ctx, queries[i], opts)
-				if errs[i] != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	for i := range queries {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	err := Gather(ctx, len(queries), s.workersFor(opts), func(ctx context.Context, i int) (err error) {
+		out.Results[i], err = s.search(ctx, queries[i], opts, 1)
+		return err
+	})
+	if err != nil {
 		return BatchResult{}, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return BatchResult{}, err
-		}
 	}
 	for i := range out.Results {
 		st := out.Results[i].Stats

@@ -7,11 +7,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/live"
+	"repro/internal/parallel"
 	"repro/internal/rank"
 	"repro/internal/server"
 	"repro/internal/topk"
@@ -66,16 +66,13 @@ func (c *Coordinator) ReplStats() server.ReplicationStats {
 func (c *Coordinator) SearchContext(ctx context.Context, terms []string, n int) (live.Result, error) {
 	c.fanouts.Add(1)
 	answers := make([]topk.ReplicaAnswer, len(c.replicas))
-	var wg sync.WaitGroup
-	for i, base := range c.replicas {
-		wg.Add(1)
-		go func(i int, base string) {
-			defer wg.Done()
-			answers[i] = c.ask(ctx, base, terms, n)
-		}(i, base)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	// A replica that fails is recorded in its answer and skipped by the
+	// merge, so a leg never fails the gather: only the caller's ctx does.
+	err := parallel.Gather(ctx, len(c.replicas), len(c.replicas), func(ctx context.Context, i int) error {
+		answers[i] = c.ask(ctx, c.replicas[i], terms, n)
+		return nil
+	})
+	if err != nil {
 		return live.Result{}, err
 	}
 	top, cert, gen := topk.MergeReplicas(answers, n)

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -175,7 +176,8 @@ func (f *Follower) crash(point string) error {
 // until the local manifest swap inside ApplyManifest. A sync that dies
 // earlier leaves staging directories and committed-but-unreferenced
 // segment directories that reopen GC (or the next sync) reclaims; the
-// serving generation is untouched.
+// serving generation is untouched. A sync that advances sweeps the
+// staging directories of segments the leader has since retired.
 func (f *Follower) SyncOnce(ctx context.Context) (advanced bool, err error) {
 	defer func() {
 		if err != nil {
@@ -222,8 +224,34 @@ func (f *Follower) SyncOnce(ctx context.Context) (advanced bool, err error) {
 		}
 		f.localGen.Store(wm.Generation)
 		f.syncs.Add(1)
-		return true, nil
+		return true, f.sweepStaging(wm)
 	}
+}
+
+// sweepStaging removes every pull-* staging directory whose segment the
+// just-applied wm does not list. A segment the leader retires mid-pull
+// (errRetired, then a replan from a manifest without it) leaves its
+// half-filled staging directory behind, and no later sync would ever
+// name it again. A staged segment wm still lists stays, so its pull
+// remains resumable — the same root-of-truth discipline as live's
+// reopen GC.
+func (f *Follower) sweepStaging(wm *WireManifest) error {
+	listed := make(map[string]bool, len(wm.Segments))
+	for _, ws := range wm.Segments {
+		listed["pull-"+ws.Name] = true
+	}
+	entries, err := os.ReadDir(f.w.Dir())
+	if err != nil {
+		return fmt.Errorf("replica: sweeping staging directories: %w", err)
+	}
+	for _, e := range entries {
+		if e.IsDir() && strings.HasPrefix(e.Name(), "pull-") && !listed[e.Name()] {
+			if err := os.RemoveAll(filepath.Join(f.w.Dir(), e.Name())); err != nil {
+				return fmt.Errorf("replica: sweeping staging directory %s: %w", e.Name(), err)
+			}
+		}
+	}
+	return nil
 }
 
 // pull stages and commits every file the local manifest is missing

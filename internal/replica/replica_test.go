@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -29,14 +30,6 @@ func genCol(t testing.TB, docs int, seed uint64) *collection.Collection {
 		t.Fatal(err)
 	}
 	return col
-}
-
-func docTerms(col *collection.Collection, d *collection.Document) []live.TermCount {
-	out := make([]live.TermCount, len(d.Terms))
-	for i, tf := range d.Terms {
-		out[i] = live.TermCount{Term: col.Lex.Name(tf.Term), TF: tf.TF}
-	}
-	return out
 }
 
 func genQueries(t testing.TB, col *collection.Collection, seed uint64) [][]string {
@@ -82,7 +75,7 @@ func newTestLeader(t *testing.T, docs int, cfg LeaderConfig) *testLeader {
 func (l *testLeader) ingest(t *testing.T, lo, hi int) {
 	t.Helper()
 	for i := lo; i < hi; i++ {
-		if _, err := l.w.Add(docTerms(l.col, &l.col.Docs[i])); err != nil {
+		if _, err := l.w.Add(live.DocTerms(l.col.Lex, l.col.Docs[i])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -420,6 +413,50 @@ func TestConcurrentPullInstallSearch(t *testing.T) {
 	if err := fw.Close(); err != nil {
 		t.Fatalf("close after stress (leaked snapshot?): %v", err)
 	}
+}
+
+// A segment the leader retires while the follower is half-way through
+// pulling it: the pull 404s, the sync replans from a manifest that no
+// longer lists the segment, and the sync that then advances must sweep
+// the abandoned staging directory — nothing would ever name it again.
+func TestRetireMidPullSweepsStaging(t *testing.T) {
+	leader := newTestLeader(t, 400, LeaderConfig{})
+	queries := genQueries(t, leader.col, 9)
+	for lo := 0; lo < 400; lo += 100 { // one merge window of the default fan-in
+		leader.ingest(t, lo, lo+100)
+	}
+
+	fdir := t.TempDir()
+	fw := newFollowerWriter(t, fdir)
+	defer fw.Close()
+	var staged []string
+	fol, err := NewFollower(fw, leader.ts.URL, FollowerConfig{
+		CrashHook: func(p string) bool {
+			if p == CrashMidSegment && staged == nil {
+				// The first segment's first file has landed in staging;
+				// merge the segments away before its second is asked for.
+				staged, _ = filepath.Glob(filepath.Join(fdir, "pull-*"))
+				if err := leader.w.MergeAll(); err != nil {
+					t.Errorf("MergeAll mid-pull: %v", err)
+				}
+			}
+			return false
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if advanced, err := fol.SyncOnce(context.Background()); err != nil || !advanced {
+		t.Fatalf("sync across a mid-pull retire: advanced=%v err=%v", advanced, err)
+	}
+	if len(staged) != 1 {
+		t.Fatalf("staging directories at the retire: %v, want exactly one", staged)
+	}
+	if got := leader.w.Manifest().Segments; len(got) != 1 || "pull-"+got[0].Name == filepath.Base(staged[0]) {
+		t.Fatalf("the merge did not retire %s: leader serves %v", staged[0], got)
+	}
+	assertNoPullArtifacts(t, fdir)
+	assertEquiv(t, leader.w, fw, queries)
 }
 
 // Wire-protocol hygiene: resumable Range requests, method and path
