@@ -9,7 +9,7 @@
 //	          [-persist DIR] [-from DIR] [-pool-pages K]
 //	          [-live-seal-docs N] [-live-fanin K] [-live-churn X]
 //	          [-load-rate R] [-load-requests N]
-//	          [-json out.json] [-compare BASELINE.json] [-wall-tol X]
+//	          [-json out.json] [-compare BASELINE.json]
 //
 // The PAR experiment exercises the sharded concurrent search layer
 // (internal/parallel): -shards picks the document-range shard count and
@@ -75,9 +75,10 @@
 // -compare BASELINE.json is the regression gate: after the run, the
 // fresh report is diffed against the committed baseline — experiment
 // set, table shapes, exactness flags, and deterministic counters
-// (decodes, skips, faults, hit rates) must match exactly, wall-clock
-// within a factor of -wall-tol — and any drift exits nonzero. Refresh
-// the baseline deliberately with
+// (decodes, skips, faults, hit rates) must match exactly — and any drift
+// exits nonzero. Timings are recorded but not gated here; the timed gate
+// is benchmark/ (see BENCHMARK.json). Refresh the baseline deliberately
+// with
 // `go run ./cmd/topnbench -exp all -scale small -shards 4 -workers 2 -json BENCH_baseline.json`.
 //
 // With -exp all, an experiment whose prerequisites are missing (e.g.
@@ -188,7 +189,6 @@ func main() {
 	loadRequests := flag.Int("load-requests", 0, "LOAD: open-loop request count (0 = scale default)")
 	jsonPath := flag.String("json", "", "write the machine-readable report to this file")
 	comparePath := flag.String("compare", "", "regression gate: diff this run against the baseline report FILE and exit nonzero on drift")
-	wallTol := flag.Float64("wall-tol", 25, "compare: wall-clock regression factor tolerated before the gate trips (<=0 skips timing checks)")
 	flag.Parse()
 
 	runners["PAR"] = func(s bench.Scale, seed uint64) (*bench.Table, error) {
@@ -305,7 +305,7 @@ func main() {
 			baseline.Experiments = kept
 			fmt.Printf("compare: gating the %d experiment(s) that ran against their baseline entries\n", len(kept))
 		}
-		diffs := bench.CompareReports(baseline, report, bench.CompareOptions{WallTolerance: *wallTol})
+		diffs := bench.CompareReports(baseline, report)
 		if len(diffs) > 0 {
 			fmt.Fprintf(os.Stderr, "topnbench: regression gate FAILED against %s (%d finding(s)):\n", *comparePath, len(diffs))
 			for _, d := range diffs {
@@ -316,8 +316,7 @@ func main() {
 				scale, *seed, *comparePath)
 			os.Exit(1)
 		}
-		fmt.Printf("regression gate passed against %s (deterministic counters exact, wall within %.0fx)\n",
-			*comparePath, *wallTol)
+		fmt.Printf("regression gate passed against %s (deterministic counters exact)\n", *comparePath)
 	}
 }
 

@@ -4,8 +4,9 @@
 // metrics (postings decoded, blocks skipped, page/block faults, hit
 // rates) — must match *exactly*: they are machine-independent by
 // design, so any drift is a behaviour change that either needs a bug
-// fix or a deliberate baseline refresh. Wall-clock comparisons are
-// tolerance-based, since CI hardware varies run to run.
+// fix or a deliberate baseline refresh. Timings are not compared here:
+// the timed gate is benchmark/ (BENCHMARK.json), which measures parent
+// and change on the same machine.
 package bench
 
 import (
@@ -13,20 +14,8 @@ import (
 	"strings"
 )
 
-// CompareOptions tunes the gate.
-type CompareOptions struct {
-	// WallTolerance is the multiplicative factor a fresh timing may
-	// exceed its baseline by before the gate trips (fresh > baseline ×
-	// tolerance). Timings below FloorMS are never compared — they are
-	// scheduler noise. <= 0 disables timing checks entirely.
-	WallTolerance float64
-	// FloorMS is the minimum baseline milliseconds for a timing check to
-	// apply. Default 5ms when WallTolerance is set.
-	FloorMS float64
-}
-
 // timingMetric classifies metric keys whose values depend on the
-// machine: they are checked against WallTolerance instead of exactly.
+// machine: they must be present on both sides but are never compared.
 // The naming convention is enforced here — runners name timing metrics
 // with an "_ms" / "per_sec" component, the LOAD experiment prefixes its
 // scheduling-dependent counters (served/shed/timeout splits) with
@@ -51,13 +40,10 @@ func timingMetric(key string) bool {
 // CompareReports returns the list of regressions of fresh against
 // baseline; empty means the gate passes. GitSHA and Timestamp are
 // ignored (they differ by construction).
-func CompareReports(baseline, fresh *Report, opts CompareOptions) []string {
+func CompareReports(baseline, fresh *Report) []string {
 	var diffs []string
 	add := func(format string, args ...interface{}) {
 		diffs = append(diffs, fmt.Sprintf(format, args...))
-	}
-	if opts.WallTolerance > 0 && opts.FloorMS == 0 {
-		opts.FloorMS = 5
 	}
 	if baseline.Scale != fresh.Scale {
 		add("scale: baseline %q vs fresh %q (rerun with the baseline's -scale)", baseline.Scale, fresh.Scale)
@@ -79,7 +65,7 @@ func CompareReports(baseline, fresh *Report, opts CompareOptions) []string {
 			add("%s: in baseline but missing from the fresh run", b.ID)
 			continue
 		}
-		compareExperiment(b, f, opts, add)
+		compareExperiment(b, f, add)
 	}
 	for i := range fresh.Experiments {
 		if !seen[fresh.Experiments[i].ID] {
@@ -89,7 +75,7 @@ func CompareReports(baseline, fresh *Report, opts CompareOptions) []string {
 	return diffs
 }
 
-func compareExperiment(b, f *ReportExperiment, opts CompareOptions, add func(string, ...interface{})) {
+func compareExperiment(b, f *ReportExperiment, add func(string, ...interface{})) {
 	if len(b.Columns) != len(f.Columns) {
 		add("%s: %d columns, baseline has %d", b.ID, len(f.Columns), len(b.Columns))
 	} else {
@@ -110,7 +96,7 @@ func compareExperiment(b, f *ReportExperiment, opts CompareOptions, add func(str
 			continue
 		}
 		if timingMetric(key) {
-			continue // machine-dependent; only WallMS is tolerance-checked below
+			continue // machine-dependent
 		}
 		if bv != fv {
 			add("%s: metric %q = %v, baseline %v (deterministic counter drift)", b.ID, key, fv, bv)
@@ -120,9 +106,5 @@ func compareExperiment(b, f *ReportExperiment, opts CompareOptions, add func(str
 		if _, ok := b.Metrics[key]; !ok {
 			add("%s: new metric %q not in the baseline (refresh BENCH_baseline.json)", b.ID, key)
 		}
-	}
-
-	if opts.WallTolerance > 0 && b.WallMS >= opts.FloorMS && f.WallMS > b.WallMS*opts.WallTolerance {
-		add("%s: wall %.1fms exceeds baseline %.1fms × %.0f tolerance", b.ID, f.WallMS, b.WallMS, opts.WallTolerance)
 	}
 }

@@ -43,12 +43,14 @@ func clone(t *testing.T, r *Report) *Report {
 
 // TestCompareIdentical: a report must pass against its own JSON
 // round-trip (the committed-baseline path), regardless of provenance
-// stamps.
+// stamps and of anything machine-dependent (timing metrics, wall-clock).
 func TestCompareIdentical(t *testing.T) {
 	b := baseReport()
 	f := clone(t, b)
 	f.GitSHA, f.Timestamp = "deadbeef", time.Now().Format(time.RFC3339)
-	if diffs := CompareReports(b, f, CompareOptions{WallTolerance: 25}); len(diffs) != 0 {
+	f.Experiments[1].Metrics["search_ms_per_query"] = 400
+	f.Experiments[1].WallMS = 50 * 26
+	if diffs := CompareReports(b, f); len(diffs) != 0 {
 		t.Fatalf("identical reports flagged: %v", diffs)
 	}
 }
@@ -59,7 +61,7 @@ func TestCompareCounterDrift(t *testing.T) {
 	b := baseReport()
 	f := clone(t, b)
 	f.Experiments[0].Metrics["decodes"] = 14346
-	diffs := CompareReports(b, f, CompareOptions{WallTolerance: 25})
+	diffs := CompareReports(b, f)
 	if len(diffs) != 1 || !strings.Contains(diffs[0], "decodes") {
 		t.Fatalf("counter drift not caught: %v", diffs)
 	}
@@ -71,31 +73,8 @@ func TestCompareExactnessFlag(t *testing.T) {
 	b := baseReport()
 	f := clone(t, b)
 	f.Experiments[1].Metrics["equiv"] = 0
-	if diffs := CompareReports(b, f, CompareOptions{}); len(diffs) != 1 {
+	if diffs := CompareReports(b, f); len(diffs) != 1 {
 		t.Fatalf("exactness drift not caught: %v", diffs)
-	}
-}
-
-// TestCompareTimingTolerance: timing metrics never compare strictly,
-// and wall-clock only trips beyond the tolerance factor (never for
-// being faster).
-func TestCompareTimingTolerance(t *testing.T) {
-	b := baseReport()
-	f := clone(t, b)
-	f.Experiments[1].Metrics["search_ms_per_query"] = 400 // machine-dependent: ignored
-	f.Experiments[0].WallMS = 1                           // faster: fine
-	f.Experiments[1].WallMS = 60                          // 1.2x: within 25x
-	if diffs := CompareReports(b, f, CompareOptions{WallTolerance: 25}); len(diffs) != 0 {
-		t.Fatalf("tolerated timings flagged: %v", diffs)
-	}
-	f.Experiments[1].WallMS = 50 * 26
-	diffs := CompareReports(b, f, CompareOptions{WallTolerance: 25})
-	if len(diffs) != 1 || !strings.Contains(diffs[0], "wall") {
-		t.Fatalf("wall regression not caught: %v", diffs)
-	}
-	// Disabled timing checks let even that through.
-	if diffs := CompareReports(b, f, CompareOptions{}); len(diffs) != 0 {
-		t.Fatalf("disabled timing check still flagged: %v", diffs)
 	}
 }
 
@@ -105,28 +84,28 @@ func TestCompareShape(t *testing.T) {
 	b := baseReport()
 	f := clone(t, b)
 	f.Experiments = f.Experiments[:1]
-	if diffs := CompareReports(b, f, CompareOptions{}); len(diffs) != 1 {
+	if diffs := CompareReports(b, f); len(diffs) != 1 {
 		t.Fatalf("missing experiment not caught: %v", diffs)
 	}
 	f = clone(t, b)
 	f.Experiments[0].Columns[1] = "c"
-	if diffs := CompareReports(b, f, CompareOptions{}); len(diffs) != 1 {
+	if diffs := CompareReports(b, f); len(diffs) != 1 {
 		t.Fatalf("column drift not caught: %v", diffs)
 	}
 	f = clone(t, b)
 	f.Experiments[1].Rows = f.Experiments[1].Rows[:1]
-	if diffs := CompareReports(b, f, CompareOptions{}); len(diffs) != 1 {
+	if diffs := CompareReports(b, f); len(diffs) != 1 {
 		t.Fatalf("row-count drift not caught: %v", diffs)
 	}
 	f = clone(t, b)
 	f.Experiments[0].Metrics["novel"] = 3
-	if diffs := CompareReports(b, f, CompareOptions{}); len(diffs) != 1 {
+	if diffs := CompareReports(b, f); len(diffs) != 1 {
 		t.Fatalf("new metric not caught: %v", diffs)
 	}
 	f = clone(t, b)
 	f.Scale = "full"
 	f.Seed = 7
-	if diffs := CompareReports(b, f, CompareOptions{}); len(diffs) != 2 {
+	if diffs := CompareReports(b, f); len(diffs) != 2 {
 		t.Fatalf("scale/seed drift not caught: %v", diffs)
 	}
 }

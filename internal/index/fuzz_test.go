@@ -55,6 +55,7 @@ func FuzzSegmentOpen(f *testing.F) {
 			f.Add(mut)
 		}
 	}
+	f.Add(doctorSection(raw, 0, 2, 1<<63))    // valid superblock CRC, section length past MaxInt64
 	f.Add(raw[:storage.PageSize])             // superblock only, sections gone
 	f.Add(append([]byte(nil), raw[4096:]...)) // superblock sheared off
 

@@ -746,6 +746,21 @@ func openSegment(dir string, pool *storage.Pool) (*openedSegment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("index: open %s: %w", dir, err)
 	}
+	// Section extents come off the disk: bound them by the file before any
+	// is used to size an allocation or a page walk. (The superblock CRC
+	// only says the writer wrote them, not that they are sane.)
+	fi, err := os.Stat(SegmentPath(dir))
+	if err != nil {
+		return nil, fmt.Errorf("index: open %s: %w", dir, err)
+	}
+	filePages := fi.Size() / storage.PageSize
+	for _, s := range sb.sections {
+		if s.length < 0 || s.length > fi.Size() || s.startPage < 2 ||
+			int64(s.startPage)-1+pagesFor(s.length) > filePages {
+			return nil, fmt.Errorf("index: open %s: section kind %d (start page %d, %d bytes) lies outside the %d-page segment file: corrupt segment",
+				dir, s.kind, s.startPage, uint64(s.length), filePages)
+		}
+	}
 	var lexSec, statsSec, fragMapSec *section
 	metaSecs := make(map[uint32]*section)
 	postSecs := make(map[uint32]*section)

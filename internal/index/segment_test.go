@@ -1,6 +1,8 @@
 package index
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"strings"
 	"testing"
@@ -326,6 +328,37 @@ func TestSegmentCorruption(t *testing.T) {
 		})
 	}
 
+	// A section directory with a valid superblock CRC but an extent the
+	// file cannot hold: past MaxInt64 (negative once parsed), absurdly
+	// large, one page too many, or starting inside the superblock. Each
+	// must be refused before it sizes an allocation or a page walk.
+	filePages := uint32(len(pristine) / storage.PageSize)
+	for _, tc := range []struct {
+		name   string
+		start  uint32
+		length uint64
+	}{
+		{"section length above MaxInt64", uint32(sb.sections[0].startPage), 1 << 63},
+		{"section length of exabytes", uint32(sb.sections[0].startPage), 1<<62 + 12345},
+		{"section one page past the file", 2, uint64(filePages) * storage.PageSize},
+		{"section starting in the superblock", 1, uint64(sb.sections[0].length)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cdir := t.TempDir()
+			if err := os.WriteFile(SegmentPath(cdir), doctorSection(pristine, 0, tc.start, tc.length), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			pool, fd, err := OpenPool(cdir, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fd.Close()
+			if _, err := Open(cdir, pool); err == nil || !strings.Contains(err.Error(), "lies outside") {
+				t.Fatalf("Open = %v, want the extent check to refuse the section", err)
+			}
+		})
+	}
+
 	t.Run("truncated to partial page", func(t *testing.T) {
 		cdir := t.TempDir()
 		if err := os.WriteFile(SegmentPath(cdir), pristine[:len(pristine)-100], 0o644); err != nil {
@@ -358,6 +391,21 @@ func TestSegmentCorruption(t *testing.T) {
 			t.Fatal("OpenPool accepted an empty segment")
 		}
 	})
+}
+
+// doctorSection returns a copy of the segment image raw whose section
+// directory entry sec claims the given start page and length, with the
+// superblock checksum recomputed — the shape of damage (or hostility)
+// the superblock CRC cannot catch.
+func doctorSection(raw []byte, sec int, start uint32, length uint64) []byte {
+	out := append([]byte(nil), raw...)
+	const dirOff, entry = 8 + 7*4, 24
+	count := int(binary.LittleEndian.Uint32(out[dirOff-4:]))
+	binary.LittleEndian.PutUint32(out[dirOff+entry*sec+8:], start)
+	binary.LittleEndian.PutUint64(out[dirOff+entry*sec+12:], length)
+	end := dirOff + entry*count
+	binary.LittleEndian.PutUint32(out[end:], crc32.ChecksumIEEE(out[:end]))
+	return out
 }
 
 func kindName(kind uint32) string {

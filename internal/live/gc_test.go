@@ -260,3 +260,58 @@ func TestFreshDirWithoutManifest(t *testing.T) {
 		t.Fatalf("fresh index not empty: %d docs, %d segments", snap.NumDocs(), snap.Segments())
 	}
 }
+
+// TestSegmentWriteFailureLeavesNoDirectory: seal and merge persist
+// through one writeSegment, so they share one cleanup. With the next
+// segment's sidecar path pre-created as a directory, the postings file
+// persists and the sidecar write then fails: both operations must
+// return the error and remove the uncommitted directory, and the
+// generation that was serving keeps serving.
+func TestSegmentWriteFailureLeavesNoDirectory(t *testing.T) {
+	col := genCollection(t, 200, 37)
+	blockNext := func(t *testing.T, w *Writer) string {
+		t.Helper()
+		name := SegmentDirName(w.Manifest().NextSeq)
+		if err := os.MkdirAll(filepath.Join(w.Dir(), name, DocTermsFile), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		return name
+	}
+	for _, op := range []string{"seal", "merge"} {
+		t.Run(op, func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := Open(Config{Dir: dir, SealDocs: 50, MergeFanIn: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			var blocked string
+			if op == "seal" {
+				for i := 0; i < 49; i++ { // one short of the seal threshold
+					if _, err := w.Add(DocTerms(col.Lex, col.Docs[i])); err != nil {
+						t.Fatal(err)
+					}
+				}
+				blocked = blockNext(t, w)
+				err = w.Flush()
+			} else {
+				streamInto(t, w, col) // four sealed segments: one tiered run
+				blocked = blockNext(t, w)
+				err = w.MergeAll()
+			}
+			if err == nil || !strings.Contains(err.Error(), "docterms") {
+				t.Fatalf("%s with an unwritable sidecar: %v, want the sidecar write error", op, err)
+			}
+			if segDirs(t, dir)[blocked] {
+				t.Fatalf("failed %s left %s behind", op, blocked)
+			}
+			res, err := w.Searcher().Search(queryNames(col, genQueries(t, col, 38)[0]), 5)
+			if err != nil || !res.Exact {
+				t.Fatalf("search after the failed %s: exact %v, err %v", op, res.Exact, err)
+			}
+			if op == "merge" && len(res.Top) == 0 {
+				t.Fatal("the four sealed segments stopped answering after the failed merge")
+			}
+		})
+	}
+}

@@ -18,18 +18,22 @@ import (
 // garbage-collected on Open.
 const ManifestFile = "live.json"
 
-// manifest is the on-disk registry of active segments. It is rewritten
-// atomically (temp file + rename) on every seal and merge commit.
-type manifest struct {
-	Version    int               `json:"version"`
-	Generation uint64            `json:"generation"`
-	NextSeq    uint64            `json:"next_seq"`
-	Segments   []manifestSegment `json:"segments"`
+// Manifest is a live index's committed state — the on-disk registry of
+// active segments (rewritten atomically, temp file + rename, on every
+// commit) and, unchanged, what a leader publishes for replication.
+// Generation is the replication ordinal: every commit increments it, and
+// equal generations imply byte-identical chains, which is what lets a
+// follower decide staleness by comparing one number.
+type Manifest struct {
+	Version    int           `json:"version"`
+	Generation uint64        `json:"generation"`
+	NextSeq    uint64        `json:"next_seq"`
+	Segments   []SegmentInfo `json:"segments"`
 }
 
-// manifestSegment records one active segment. Base/Docs are duplicated
-// from the segment's own stats so Open can validate the chain partitions
-// the document space before serving it. Snap is the ordinal of the
+// SegmentInfo records one active segment. Base/Docs are duplicated from
+// the segment's own stats so the chain can be validated to partition the
+// document space before it is served. Snap is the ordinal of the
 // persisted lexicon snapshot; the max-snap segment restores the master
 // lexicon on reopen.
 //
@@ -39,7 +43,7 @@ type manifest struct {
 // its bitmap version lands, the same swap-is-commit rule segments
 // follow. Alive duplicates the bitmap's population count so a torn or
 // stale sidecar is detected on reopen.
-type manifestSegment struct {
+type SegmentInfo struct {
 	Name  string `json:"name"`
 	Seq   uint64 `json:"seq"`
 	Snap  uint64 `json:"snap"`
@@ -52,7 +56,7 @@ type manifestSegment struct {
 // writeManifest atomically and durably replaces the manifest under dir
 // (fsync'd file + directory: the swap is every commit's durability
 // point — a Delete that returned must survive power loss).
-func writeManifest(dir string, m manifest) error {
+func writeManifest(dir string, m Manifest) error {
 	raw, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("live: encode manifest: %w", err)
@@ -65,7 +69,7 @@ func writeManifest(dir string, m manifest) error {
 
 // readManifest loads and validates the manifest under dir. A missing
 // manifest returns (nil, nil): a fresh directory.
-func readManifest(dir string) (*manifest, error) {
+func readManifest(dir string) (*Manifest, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, ManifestFile))
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -73,7 +77,7 @@ func readManifest(dir string) (*manifest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("live: read manifest: %w", err)
 	}
-	var m manifest
+	var m Manifest
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return nil, fmt.Errorf("live: manifest %s is not valid JSON (corrupt?): %w",
 			filepath.Join(dir, ManifestFile), err)
@@ -89,7 +93,7 @@ func readManifest(dir string) (*manifest, error) {
 // partitions [0, totalDocs) in base order. It is shared by readManifest
 // and the follower-side ApplyManifest, so a manifest received over the
 // wire meets exactly the bar a local one does.
-func (m *manifest) validate() error {
+func (m *Manifest) validate() error {
 	if m.Version != 1 {
 		return fmt.Errorf("live: manifest version %d, this build reads version 1", m.Version)
 	}
@@ -130,7 +134,7 @@ func (m *manifest) validate() error {
 // directories, every alive-bitmap version file the manifest does not
 // reference (a tombstone written but never committed, or superseded and
 // not yet deleted). It returns the removed names.
-func gcStale(dir string, m *manifest) ([]string, error) {
+func gcStale(dir string, m *Manifest) ([]string, error) {
 	known := make(map[string]uint64, len(m.Segments))
 	for _, s := range m.Segments {
 		known[s.Name] = s.Tomb

@@ -529,17 +529,10 @@ func (w *Writer) spliceLocked(run []*segment, merged *segment) {
 // segment: concatenate-and-purge via index.Merge (dropping documents
 // dead in the captured bitmaps), copy the forward sidecar entries of
 // every document — dead ones included, so the tombstone ledger stays
-// reconstructible after their postings are gone — persist, and reopen
-// through a fresh pool.
+// reconstructible after their postings are gone — and write the result
+// as segment seq (writeSegment). It starts with no bitmap: the caller
+// adopts the inputs' current deletion view at commit.
 func mergeSegments(cfg Config, run []*segment, alives []*postings.AliveBitmap, seq, snap uint64, frozen *lexicon.Lexicon, bc *blockcache.Cache) (*segment, error) {
-	// The merged segment reopens through a pool sized by the tuner when
-	// one is attached: a fault-heavy workload earns more frames, within
-	// the configured bounds.
-	if cfg.Tune != nil {
-		if v := cfg.Tune.PoolPages(cfg.PoolPages); v >= 8 {
-			cfg.PoolPages = v
-		}
-	}
 	inputs := make([]*index.Index, len(run))
 	total := 0
 	for i, s := range run {
@@ -554,33 +547,15 @@ func mergeSegments(cfg Config, run []*segment, alives []*postings.AliveBitmap, s
 	if err != nil {
 		return nil, fmt.Errorf("live: merge: %w", err)
 	}
-	name := segmentName(seq)
-	dir := filepath.Join(cfg.Dir, name)
-	cleanup := func(err error) (*segment, error) {
-		if rerr := os.RemoveAll(dir); rerr != nil {
-			cleanupLogf("live: removing abandoned merge output %s: %v (reopen GC will retry)", dir, rerr)
-		}
-		return nil, err
-	}
-	if err := merged.Persist(dir); err != nil {
-		return cleanup(fmt.Errorf("live: merge: %w", err))
-	}
 	blobs := make([][]byte, 0, total)
 	for _, s := range run {
 		for id := 0; id < s.docs; id++ {
 			raw, err := s.fwd.raw(uint32(id))
 			if err != nil {
-				return cleanup(fmt.Errorf("live: merge: %w", err))
+				return nil, fmt.Errorf("live: merge: %w", err)
 			}
 			blobs = append(blobs, raw)
 		}
 	}
-	if err := writeDocTerms(dir, blobs); err != nil {
-		return cleanup(err)
-	}
-	seg, err := openSegment(cfg, name, seq, snap, run[0].base, 0, bc)
-	if err != nil {
-		return cleanup(err)
-	}
-	return seg, nil
+	return writeSegment(cfg, "merge", merged, blobs, nil, seq, snap, run[0].base, bc)
 }

@@ -3,7 +3,9 @@ package live
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 
+	"repro/internal/blockcache"
 	"repro/internal/index"
 	"repro/internal/lexicon"
 	"repro/internal/postings"
@@ -35,31 +37,6 @@ func SegmentDirName(seq uint64) string { return segmentName(seq) }
 // version ver (ver > 0; version 0 means no bitmap exists).
 func AliveFileName(ver uint64) string { return aliveName(ver) }
 
-// SegmentInfo describes one active segment of a Manifest. It mirrors
-// the on-disk manifest entry: Base/Docs pin the segment's global-id
-// span, Snap is its persisted lexicon-snapshot ordinal, and Tomb/Alive
-// name and checksum the alive-bitmap version in force.
-type SegmentInfo struct {
-	Name  string `json:"name"`
-	Seq   uint64 `json:"seq"`
-	Snap  uint64 `json:"snap"`
-	Base  uint32 `json:"base"`
-	Docs  int    `json:"docs"`
-	Alive int    `json:"alive"`
-	Tomb  uint64 `json:"tomb,omitempty"`
-}
-
-// Manifest is the exported view of a live index's committed state: the
-// replication ordinal (Generation — every commit increments it) and the
-// active segment chain. Equal generations imply byte-identical chains,
-// which is what lets a follower decide staleness by comparing one
-// number.
-type Manifest struct {
-	Generation uint64        `json:"generation"`
-	NextSeq    uint64        `json:"next_seq"`
-	Segments   []SegmentInfo `json:"segments"`
-}
-
 // Manifest returns the currently committed manifest.
 func (w *Writer) Manifest() Manifest {
 	w.mu.Lock()
@@ -68,7 +45,7 @@ func (w *Writer) Manifest() Manifest {
 }
 
 func (w *Writer) manifestLocked() Manifest {
-	m := Manifest{Generation: w.genID, NextSeq: w.seq}
+	m := Manifest{Version: 1, Generation: w.genID, NextSeq: w.seq}
 	for _, s := range w.segs {
 		m.Segments = append(m.Segments, SegmentInfo{
 			Name: s.name, Seq: s.seq, Snap: s.snap, Base: s.base, Docs: s.docs,
@@ -86,11 +63,10 @@ func (w *Writer) manifestLocked() Manifest {
 func (w *Writer) AcquireManifest() (Manifest, *Snapshot, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed || w.cur == nil {
-		return Manifest{}, nil, ErrClosed
+	snap, err := w.snapshotLocked()
+	if err != nil {
+		return Manifest{}, nil, err
 	}
-	w.cur.refs.Add(1)
-	snap := &Snapshot{g: w.cur, workers: w.cfg.Workers, fc: &w.fc}
 	return w.manifestLocked(), snap, nil
 }
 
@@ -104,14 +80,11 @@ func (w *Writer) Dir() string { return w.cfg.Dir }
 // caller (the replication puller) must already have committed every
 // segment directory and alive-bitmap version m references under Dir —
 // fully written, fsync'd, and renamed into place. ApplyManifest then
-// re-runs the writer's own open protocol over the new chain: it opens
-// the segments it does not yet serve (page checksums primed, section
-// CRCs verified), validates the chain partitions the document space,
-// rebuilds the tombstone ledger, restores the lexicon from the
-// max-snapshot segment, writes the local manifest atomically, and swaps
-// in a new generation. Segments no longer referenced are released and
-// their directories deleted once the last in-flight search drains —
-// the same deferred retirement merges use.
+// runs the writer's own open protocol over the new chain (loadChain,
+// reusing the segments it already serves), writes the local manifest
+// atomically, and swaps in a new generation. Segments no longer
+// referenced are released and their directories deleted once the last
+// in-flight search drains — the same deferred retirement merges use.
 //
 // Manifests must arrive in increasing Generation order; applying a
 // stale or repeated one fails without side effects. On any validation
@@ -141,91 +114,15 @@ func (w *Writer) ApplyManifest(m Manifest) error {
 	}
 	w.mu.Unlock()
 
-	im := toInternalManifest(m)
-	if err := im.validate(); err != nil {
+	m.Segments = slices.Clone(m.Segments) // validate sorts and normalizes in place
+	if err := m.validate(); err != nil {
 		return err
 	}
 
-	// Stage 1 (no writer lock, no visible effects): open new segments,
-	// load new bitmap versions, rebuild the ledger and lexicon.
-	type bitmapSwap struct {
-		seg  *segment
-		bm   *postings.AliveBitmap
-		tomb uint64
-	}
-	var (
-		opened []*segment
-		swaps  []bitmapSwap
-	)
-	fail := func(err error) error {
-		for _, s := range opened {
-			s.release()
-		}
-		return err
-	}
-	dead := make(map[lexicon.TermID]lexicon.Stats)
-	var deadDocs int64
-	chain := make([]*segment, 0, len(m.Segments))
-	var newest *segment
-	var total uint32
-	for _, info := range m.Segments {
-		s := have[info.Name]
-		alive := (*postings.AliveBitmap)(nil)
-		if s != nil {
-			// Reused segment: sequence numbers are unique forever, so the
-			// immutable fields must agree — disagreement means the leader
-			// and follower hold different files under one name.
-			if s.seq != info.Seq || s.snap != info.Snap || s.base != info.Base || s.docs != info.Docs {
-				return fail(fmt.Errorf("live: segment %s diverges from the installed copy (seq/snap/base/docs mismatch)", info.Name))
-			}
-			alive = s.alive
-			if s.aliveVer != info.Tomb {
-				if info.Tomb == 0 {
-					return fail(fmt.Errorf("live: segment %s: manifest drops bitmap version %d (tombstones cannot be undone)", info.Name, s.aliveVer))
-				}
-				bm, err := index.ReadAlive(filepath.Join(w.cfg.Dir, info.Name, aliveName(info.Tomb)), s.docs)
-				if err != nil {
-					return fail(fmt.Errorf("live: segment %s: %w", info.Name, err))
-				}
-				swaps = append(swaps, bitmapSwap{seg: s, bm: bm, tomb: info.Tomb})
-				alive = bm
-			}
-		} else {
-			seg, err := openSegment(w.cfg, info.Name, info.Seq, info.Snap, info.Base, info.Tomb, w.blockCache)
-			if err != nil {
-				return fail(err)
-			}
-			opened = append(opened, seg)
-			if seg.docs != info.Docs {
-				return fail(fmt.Errorf("live: segment %s holds %d documents, manifest says %d (corrupt?)", info.Name, seg.docs, info.Docs))
-			}
-			s, alive = seg, seg.alive
-		}
-		if got := aliveCount(alive, s.docs); got != info.Alive {
-			return fail(fmt.Errorf("live: segment %s bitmap leaves %d documents alive, manifest says %d (corrupt?)", info.Name, got, info.Alive))
-		}
-		n, err := foldDeadStats(s, alive, dead)
-		if err != nil {
-			return fail(fmt.Errorf("live: segment %s: %w", info.Name, err))
-		}
-		deadDocs += n
-		chain = append(chain, s)
-		total += uint32(s.docs)
-		if newest == nil || s.snap > newest.snap {
-			newest = s
-		}
-	}
-	var lex *lexicon.Lexicon
-	var snapOrd uint64
-	if newest != nil {
-		lex = newest.idx.Lex.Clone()
-		snapOrd = newest.snap
-	} else {
-		lex = lexicon.New()
-	}
-	tight, err := tightenLexicon(lex, dead)
+	// Stage 1 (no writer lock, no visible effects).
+	c, err := loadChain(w.cfg, m, have, w.blockCache)
 	if err != nil {
-		return fail(err)
+		return err
 	}
 
 	// Stage 2 (writer lock): commit. The local manifest swap is the
@@ -233,49 +130,19 @@ func (w *Writer) ApplyManifest(m Manifest) error {
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
-		return fail(ErrClosed)
+		c.abandon()
+		return ErrClosed
 	}
-	for _, sw := range swaps {
-		sw.seg.alive = sw.bm
-		sw.seg.aliveVer = sw.tomb
-		sw.seg.recountAlive()
+	dropped := w.adoptChainLocked(c)
+	err = writeManifest(w.cfg.Dir, m)
+	if err == nil {
+		err = w.installLocked()
 	}
-	inChain := make(map[string]bool, len(chain))
-	for _, s := range chain {
-		inChain[s.name] = true
-	}
-	var dropped []*segment
-	for _, s := range w.segs {
-		if !inChain[s.name] {
-			s.dead.Store(true)
-			dropped = append(dropped, s)
-		}
-	}
-	w.segs = chain
-	// Follower-mode lexicon invariants: with no buffer and no write
-	// path, the master, the sealed snapshot, and the persisted newest
-	// snapshot coincide — one clone serves all three roles (they are
-	// immutable from here on).
-	w.lex = lex
-	w.sealedSnap = lex
-	w.sealedSnapID = snapOrd
-	w.snapID = snapOrd
-	w.deadStats = dead
-	w.docsDeleted = deadDocs
-	w.tight = tight
-	w.base = total
-	w.seq = m.NextSeq
-	w.genID = m.Generation
-	if err := writeManifest(w.cfg.Dir, im); err != nil {
+	if err != nil {
 		// The chain swap above is in-memory only and the new segments are
 		// all valid; serving them unpersisted would still be correct, but
 		// failing loudly keeps "installed implies durable" true. Poison:
 		// the in-memory and on-disk states have diverged.
-		w.failed = err
-		w.mu.Unlock()
-		return err
-	}
-	if err := w.installLocked(); err != nil {
 		w.failed = err
 		w.mu.Unlock()
 		return err
@@ -287,17 +154,159 @@ func (w *Writer) ApplyManifest(m Manifest) error {
 	return nil
 }
 
-// toInternalManifest converts the exported manifest to the on-disk
-// form.
-func toInternalManifest(m Manifest) manifest {
-	im := manifest{Version: 1, Generation: m.Generation, NextSeq: m.NextSeq}
-	for _, s := range m.Segments {
-		im.Segments = append(im.Segments, manifestSegment{
-			Name: s.Name, Seq: s.Seq, Snap: s.Snap, Base: s.Base, Docs: s.Docs,
-			Alive: s.Alive, Tomb: s.Tomb,
-		})
+// chain is a manifest turned into servable state, with nothing yet
+// visible to the writer: the segments in base order, the tombstone
+// ledger rebuilt from their bitmaps and forward sidecars, and the
+// newest persisted lexicon snapshot with that ledger subtracted.
+type chain struct {
+	m      Manifest
+	segs   []*segment
+	opened []*segment // the subset loadChain opened: abandon releases these
+	// swaps are newer bitmap versions of segments already served. They
+	// take effect at adoption, not before: until the manifest commits,
+	// the serving generation's deletion view must not move.
+	swaps    []bitmapSwap
+	dead     map[lexicon.TermID]lexicon.Stats
+	deadDocs int64
+	snap     *lexicon.Lexicon // a private clone of the max-ordinal segment's lexicon
+	snapID   uint64
+	tight    *lexicon.Lexicon // snap minus dead; snap itself when nothing is dead
+}
+
+type bitmapSwap struct {
+	seg  *segment
+	bm   *postings.AliveBitmap
+	tomb uint64
+}
+
+// abandon releases the segments a never-adopted chain opened.
+func (c *chain) abandon() {
+	for _, s := range c.opened {
+		s.release()
 	}
-	return im
+}
+
+// loadChain is the one path from a (validated) manifest to servable
+// state, shared by Open — which holds no segments yet — and
+// ApplyManifest, which passes the segments it already serves in have so
+// only new ones are opened. Every listed segment is opened (page
+// checksums primed, section CRCs verified) or reused, checked against
+// the manifest's Docs/Alive, and its dead documents folded into the
+// tombstone ledger; the max-snapshot segment's lexicon is cloned and
+// tightened. On error everything opened here is released.
+func loadChain(cfg Config, m Manifest, have map[string]*segment, bc *blockcache.Cache) (_ *chain, err error) {
+	c := &chain{m: m, dead: make(map[lexicon.TermID]lexicon.Stats)}
+	defer func() {
+		if err != nil {
+			c.abandon()
+		}
+	}()
+	var newest *segment
+	for _, info := range m.Segments {
+		s := have[info.Name]
+		var alive *postings.AliveBitmap
+		if s != nil {
+			// Reused segment: sequence numbers are unique forever, so the
+			// immutable fields must agree — disagreement means the leader
+			// and follower hold different files under one name.
+			if s.seq != info.Seq || s.snap != info.Snap || s.base != info.Base || s.docs != info.Docs {
+				return nil, fmt.Errorf("live: segment %s diverges from the installed copy (seq/snap/base/docs mismatch)", info.Name)
+			}
+			alive = s.alive
+			if s.aliveVer != info.Tomb {
+				if info.Tomb == 0 {
+					return nil, fmt.Errorf("live: segment %s: manifest drops bitmap version %d (tombstones cannot be undone)", info.Name, s.aliveVer)
+				}
+				bm, err := index.ReadAlive(filepath.Join(cfg.Dir, info.Name, aliveName(info.Tomb)), s.docs)
+				if err != nil {
+					return nil, fmt.Errorf("live: segment %s: %w", info.Name, err)
+				}
+				c.swaps = append(c.swaps, bitmapSwap{seg: s, bm: bm, tomb: info.Tomb})
+				alive = bm
+			}
+		} else {
+			s, err = openSegment(cfg, info.Name, info.Seq, info.Snap, info.Base, info.Tomb, bc)
+			if err != nil {
+				return nil, err
+			}
+			c.opened = append(c.opened, s)
+			if s.docs != info.Docs {
+				return nil, fmt.Errorf("live: segment %s holds %d documents, manifest says %d (corrupt?)", info.Name, s.docs, info.Docs)
+			}
+			alive = s.alive
+		}
+		if got := aliveCount(alive, s.docs); got != info.Alive {
+			return nil, fmt.Errorf("live: segment %s bitmap leaves %d documents alive, manifest says %d (corrupt?)", info.Name, got, info.Alive)
+		}
+		// Rebuild the tombstone ledger: every dead document with a
+		// non-empty forward entry was sealed (its statistics live in the
+		// persisted snapshots) and must be subtracted. Documents deleted
+		// while buffered sealed as empty entries and never entered a
+		// snapshot; purged documents keep their entries exactly so this
+		// reconstruction stays possible after compaction.
+		n, err := foldDeadStats(s, alive, c.dead)
+		if err != nil {
+			return nil, fmt.Errorf("live: segment %s: %w", info.Name, err)
+		}
+		c.deadDocs += n
+		c.segs = append(c.segs, s)
+		if newest == nil || s.snap > newest.snap {
+			newest = s
+		}
+	}
+	// The max-snapshot-ordinal segment's lexicon covers every sealed
+	// document (every document's statistics are recorded before the
+	// capture of the seal that sealed it, and captures are ordered by
+	// ordinal), so it restores the sealed state exactly. Buffered
+	// documents lost in a crash left no statistics behind either — the
+	// reopened state is self-consistent.
+	c.snap = lexicon.New()
+	if newest != nil {
+		c.snap, c.snapID = newest.idx.Lex.Clone(), newest.snap
+	}
+	if c.tight, err = tightenLexicon(c.snap, c.dead); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// adoptChainLocked makes c the writer's state: pending bitmap versions
+// take effect, segments c no longer lists are marked for retirement and
+// returned (the caller releases the chain's reference to each after
+// unlocking), and the ledger, snapshots and ordinals are replaced. The
+// master lexicon, the sealed snapshot and the persisted newest snapshot
+// all become c.snap — right for a follower, which has no buffer and no
+// write path, so the three coincide and are immutable from here on. A
+// leader must give the master its own clone (see Open).
+func (w *Writer) adoptChainLocked(c *chain) (dropped []*segment) {
+	for _, sw := range c.swaps {
+		sw.seg.alive = sw.bm
+		sw.seg.aliveVer = sw.tomb
+		sw.seg.recountAlive()
+	}
+	inChain := make(map[*segment]bool, len(c.segs))
+	w.base = 0
+	for _, s := range c.segs {
+		inChain[s] = true
+		w.base += uint32(s.docs)
+	}
+	for _, s := range w.segs {
+		if !inChain[s] {
+			s.dead.Store(true)
+			dropped = append(dropped, s)
+		}
+	}
+	w.segs = c.segs
+	w.lex = c.snap
+	w.sealedSnap = c.snap
+	w.sealedSnapID = c.snapID
+	w.snapID = c.snapID
+	w.deadStats = c.dead
+	w.docsDeleted = c.deadDocs
+	w.tight = c.tight
+	w.seq = c.m.NextSeq
+	w.genID = c.m.Generation
+	return dropped
 }
 
 // aliveCount counts survivors under bm over a docs-wide id space (nil

@@ -63,6 +63,10 @@ type Snapshot struct {
 func (w *Writer) Acquire() (*Snapshot, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.snapshotLocked()
+}
+
+func (w *Writer) snapshotLocked() (*Snapshot, error) {
 	if w.closed || w.cur == nil {
 		return nil, ErrClosed
 	}

@@ -201,6 +201,47 @@ func openSegment(cfg Config, name string, seq, snap uint64, base uint32, tomb ui
 	return s, nil
 }
 
+// writeSegment is the one way a segment comes to exist on the node that
+// created it: persist idx as segment seq under cfg.Dir, write its
+// forward sidecar (one blob per local document id) and, when bm is
+// non-nil, its first alive-bitmap version, then open the result. The
+// directory is not in any manifest yet, so on any failure it is removed
+// rather than left as a stale orphan. op ("seal", "merge") names the
+// caller in errors and logs.
+func writeSegment(cfg Config, op string, idx *index.Index, blobs [][]byte, bm *postings.AliveBitmap, seq, snap uint64, base uint32, bc *blockcache.Cache) (_ *segment, err error) {
+	// The new segment is served through a pool sized by the tuner when one
+	// is attached (fault pressure earns more frames, within bounds).
+	if cfg.Tune != nil {
+		if v := cfg.Tune.PoolPages(cfg.PoolPages); v >= 8 {
+			cfg.PoolPages = v
+		}
+	}
+	name := segmentName(seq)
+	dir := filepath.Join(cfg.Dir, name)
+	defer func() {
+		if err == nil {
+			return
+		}
+		if rerr := os.RemoveAll(dir); rerr != nil {
+			cleanupLogf("live: removing abandoned %s output %s: %v (reopen GC will retry)", op, dir, rerr)
+		}
+	}()
+	if err := idx.Persist(dir); err != nil {
+		return nil, fmt.Errorf("live: %s: %w", op, err)
+	}
+	if err := writeDocTerms(dir, blobs); err != nil {
+		return nil, err
+	}
+	var tomb uint64
+	if bm != nil {
+		tomb = 1
+		if err := index.WriteAlive(filepath.Join(dir, aliveName(tomb)), bm); err != nil {
+			return nil, err
+		}
+	}
+	return openSegment(cfg, name, seq, snap, base, tomb, bc)
+}
+
 // recountAlive derives aliveDocs/aliveTokens/purgeable from the current
 // bitmap and the document lengths. A zero document length marks a hole
 // (purged, or deleted while still buffered) whose postings no longer

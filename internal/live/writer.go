@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -175,7 +174,7 @@ func Open(cfg Config) (*Writer, error) {
 		// Fresh directory: establish the root of truth before GC, so a
 		// half-copied directory of segments without a manifest reads as
 		// empty rather than as garbage results.
-		m = &manifest{Version: 1}
+		m = &Manifest{Version: 1}
 		if err := writeManifest(cfg.Dir, *m); err != nil {
 			return nil, err
 		}
@@ -187,9 +186,6 @@ func Open(cfg Config) (*Writer, error) {
 	w := &Writer{
 		cfg:       cfg,
 		scratch:   make(map[lexicon.TermID]int32),
-		deadStats: make(map[lexicon.TermID]lexicon.Stats),
-		seq:       m.NextSeq,
-		genID:     m.Generation,
 		mergeKick: make(chan struct{}, 1),
 		stop:      make(chan struct{}),
 		lockFile:  lock,
@@ -202,66 +198,23 @@ func Open(cfg Config) (*Writer, error) {
 		w.blockCache = blockcache.New(cfg.BlockCacheBytes)
 	}
 
-	defer func() {
-		if !ok {
-			for _, s := range w.segs {
-				s.release()
-			}
-		}
-	}()
-	var newest *segment
-	for _, ms := range m.Segments {
-		seg, err := openSegment(cfg, ms.Name, ms.Seq, ms.Snap, ms.Base, ms.Tomb, w.blockCache)
-		if err != nil {
-			return nil, err
-		}
-		w.segs = append(w.segs, seg)
-		if seg.docs != ms.Docs {
-			return nil, fmt.Errorf("live: segment %s holds %d documents, manifest says %d (corrupt?)",
-				ms.Name, seg.docs, ms.Docs)
-		}
-		if seg.aliveDocs != ms.Alive {
-			return nil, fmt.Errorf("live: segment %s bitmap leaves %d documents alive, manifest says %d (corrupt?)",
-				ms.Name, seg.aliveDocs, ms.Alive)
-		}
-		// Rebuild the tombstone ledger: every dead document with a
-		// non-empty forward entry was sealed (its statistics live in the
-		// persisted snapshots) and must be subtracted. Documents deleted
-		// while buffered sealed as empty entries and never entered a
-		// snapshot; purged documents keep their entries exactly so this
-		// reconstruction stays possible after compaction.
-		n, err := foldDeadStats(seg, seg.alive, w.deadStats)
-		if err != nil {
-			return nil, fmt.Errorf("live: segment %s: %w", ms.Name, err)
-		}
-		w.docsDeleted += n
-		w.base += uint32(seg.docs)
-		if newest == nil || seg.snap > newest.snap {
-			newest = seg
-		}
-	}
-	// The max-snapshot-ordinal segment's lexicon covers every sealed
-	// document (every document's statistics are recorded before the
-	// capture of the seal that sealed it, and captures are ordered by
-	// ordinal), so it restores the master exactly. Buffered documents
-	// lost in a crash left no statistics behind either — the reopened
-	// state is self-consistent.
-	if newest != nil {
-		w.lex = newest.idx.Lex.Clone()
-		w.snapID = newest.snap
-	} else {
-		w.lex = lexicon.New()
-	}
-	w.sealedSnap = w.lex.Clone() // buffer is empty: sealed == everything
-	w.sealedSnapID = w.snapID
-	if w.tight, err = tightenLexicon(w.sealedSnap, w.deadStats); err != nil {
+	// Opening is installing the on-disk manifest with no segment in hand:
+	// the same loadChain a follower's ApplyManifest runs.
+	c, err := loadChain(cfg, *m, nil, w.blockCache)
+	if err != nil {
 		return nil, err
 	}
-
 	w.mu.Lock()
+	w.adoptChainLocked(c)
+	// The master must not alias the sealed snapshot: Add records buffered
+	// documents into it, and the snapshot (which, with an empty ledger, is
+	// also the tightened lexicon generations rank with) covers exactly
+	// the sealed ones.
+	w.lex = w.sealedSnap.Clone()
 	err = w.installLocked()
 	w.mu.Unlock()
 	if err != nil {
+		c.abandon()
 		return nil, err
 	}
 
@@ -479,21 +432,14 @@ func (w *Writer) Flush() error {
 	return nil
 }
 
-// buildSegment builds the buffered documents into a block-max index,
-// persists it as segment seq together with its forward sidecar (one
-// term-list entry per document, empty for documents deleted while still
-// buffered) and — when such deletions left holes — an alive bitmap, and
-// reopens it through its own pool. A buffered document deleted before
-// the seal is a Document with no terms: it keeps its id slot (a hole)
-// but contributes no postings, no length, and no statistics anywhere.
+// buildSegment builds the buffered documents into a block-max index
+// and writes it as segment seq (writeSegment) together with its forward
+// sidecar — one term-list entry per document, empty for documents
+// deleted while still buffered — and, when such deletions left holes, an
+// alive bitmap. A buffered document deleted before the seal is a
+// Document with no terms: it keeps its id slot (a hole) but contributes
+// no postings, no length, and no statistics anywhere.
 func buildSegment(cfg Config, docs []collection.Document, tokens int64, seq, snap uint64, base uint32, frozen *lexicon.Lexicon, bc *blockcache.Cache) (*segment, error) {
-	// The sealed segment reopens through a pool sized by the tuner when
-	// one is attached (fault pressure earns more frames, within bounds).
-	if cfg.Tune != nil {
-		if v := cfg.Tune.PoolPages(cfg.PoolPages); v >= 8 {
-			cfg.PoolPages = v
-		}
-	}
 	sub := &collection.Collection{Docs: docs, Lex: frozen, TotalTokens: tokens}
 	if len(docs) > 0 {
 		sub.AvgDocLen = float64(tokens) / float64(len(docs))
@@ -505,19 +451,6 @@ func buildSegment(cfg Config, docs []collection.Document, tokens int64, seq, sna
 	idx, err := index.Build(sub, pool)
 	if err != nil {
 		return nil, fmt.Errorf("live: seal: %w", err)
-	}
-	name := segmentName(seq)
-	dir := filepath.Join(cfg.Dir, name)
-	cleanup := func(err error) (*segment, error) {
-		// The persisted directory is not yet in the manifest; remove it so
-		// it cannot linger as a stale orphan.
-		if rerr := os.RemoveAll(dir); rerr != nil {
-			cleanupLogf("live: removing abandoned seal output %s: %v (reopen GC will retry)", dir, rerr)
-		}
-		return nil, err
-	}
-	if err := idx.Persist(dir); err != nil {
-		return cleanup(fmt.Errorf("live: seal: %w", err))
 	}
 	blobs := make([][]byte, len(docs))
 	var bm *postings.AliveBitmap
@@ -531,21 +464,7 @@ func buildSegment(cfg Config, docs []collection.Document, tokens int64, seq, sna
 		}
 		blobs[i] = encodeDocEntry(docs[i].Terms)
 	}
-	if err := writeDocTerms(dir, blobs); err != nil {
-		return cleanup(err)
-	}
-	var tomb uint64
-	if bm != nil {
-		tomb = 1
-		if err := index.WriteAlive(filepath.Join(dir, aliveName(tomb)), bm); err != nil {
-			return cleanup(err)
-		}
-	}
-	seg, err := openSegment(cfg, name, seq, snap, base, tomb, bc)
-	if err != nil {
-		return cleanup(err)
-	}
-	return seg, nil
+	return writeSegment(cfg, "seal", idx, blobs, bm, seq, snap, base, bc)
 }
 
 // commitLocked writes the manifest for the current chain and installs a
@@ -561,14 +480,7 @@ func buildSegment(cfg Config, docs []collection.Document, tokens int64, seq, sna
 func (w *Writer) commitLocked() error {
 	w.samplePoolLatencyLocked()
 	w.genID++
-	m := manifest{Version: 1, Generation: w.genID, NextSeq: w.seq}
-	for _, s := range w.segs {
-		m.Segments = append(m.Segments, manifestSegment{
-			Name: s.name, Seq: s.seq, Snap: s.snap, Base: s.base, Docs: s.docs,
-			Alive: s.aliveDocs, Tomb: s.aliveVer,
-		})
-	}
-	if err := writeManifest(w.cfg.Dir, m); err != nil {
+	if err := writeManifest(w.cfg.Dir, w.manifestLocked()); err != nil {
 		return err
 	}
 	return w.installLocked()

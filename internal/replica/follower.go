@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"log"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -15,7 +16,6 @@ import (
 
 	"repro/internal/live"
 	"repro/internal/server"
-	"repro/internal/storage"
 )
 
 // Crash points of the pull protocol, in commit order. A FollowerConfig
@@ -48,8 +48,10 @@ var ErrCrashPoint = errors.New("replica: injected crash")
 
 // errRetired marks a pull that hit 404: the leader merged the segment
 // away between our manifest fetch and the pull. SyncOnce refetches the
-// manifest and replans.
+// manifest and replans, at most replanRetries times per sync.
 var errRetired = errors.New("replica: segment retired on the leader mid-pull")
+
+const replanRetries = 3
 
 // FollowerConfig tunes the pull client.
 type FollowerConfig struct {
@@ -63,9 +65,6 @@ type FollowerConfig struct {
 	// RetryBackoff is the pause between file retry attempts. Default
 	// 50ms.
 	RetryBackoff time.Duration
-	// ReplanRetries is how many times a sync replans from a fresh
-	// manifest after a mid-pull retirement (404). Default 3.
-	ReplanRetries int
 	// CrashHook, if set, is consulted at every named crash point.
 	CrashHook func(point string) bool
 }
@@ -79,9 +78,6 @@ func (c *FollowerConfig) fillDefaults() {
 	}
 	if c.RetryBackoff == 0 {
 		c.RetryBackoff = 50 * time.Millisecond
-	}
-	if c.ReplanRetries == 0 {
-		c.ReplanRetries = 3
 	}
 }
 
@@ -203,7 +199,7 @@ func (f *Follower) SyncOnce(ctx context.Context) (advanced bool, err error) {
 			return false, err
 		}
 		err = f.pull(ctx, wm, local)
-		if errors.Is(err, errRetired) && attempt < f.cfg.ReplanRetries {
+		if errors.Is(err, errRetired) && attempt < replanRetries {
 			continue // the leader merged mid-pull; replan from a fresh manifest
 		}
 		if err != nil {
@@ -282,44 +278,22 @@ func (f *Follower) pull(ctx context.Context, wm *WireManifest, local live.Manife
 }
 
 // pullAliveFile fetches a new alive-bitmap version into an existing
-// committed segment directory. Bitmaps are small: the file is fetched
-// whole into memory, CRC-verified, and written atomically — the same
-// temp+rename+fsync path live's own tombstone commits use. The bitmap
-// becomes meaningful only when ApplyManifest lands the manifest
-// referencing its version; a crash before that leaves an unreferenced
-// version file reopen GC removes.
+// committed segment directory, through the same resumable, CRC-verified
+// pullFile every other file takes. The bitmap becomes meaningful only
+// when ApplyManifest lands the manifest referencing its version; a
+// crash before that leaves an unreferenced version file (or its
+// .partial) that reopen GC removes.
 func (f *Follower) pullAliveFile(ctx context.Context, ws WireSegment) error {
 	name := live.AliveFileName(ws.Tomb)
 	wf, err := findFile(ws, name)
 	if err != nil {
 		return err
 	}
-	dst := filepath.Join(f.w.Dir(), ws.Name, name)
-	if fileMatches(dst, wf) {
-		return nil // an earlier aborted sync already landed it
+	segDir := filepath.Join(f.w.Dir(), ws.Name)
+	if err := f.pullFile(ctx, segDir, ws.Seq, wf); err != nil {
+		return fmt.Errorf("replica: pulling %s/%s: %w", ws.Name, name, err)
 	}
-	var lastErr error
-	for attempt := 0; attempt <= f.cfg.FileRetries; attempt++ {
-		if attempt > 0 {
-			f.crcRetries.Add(1)
-			sleepCtx(ctx, f.cfg.RetryBackoff)
-		}
-		body, err := f.fetchWhole(ctx, ws.Seq, wf)
-		if err != nil {
-			if errors.Is(err, errRetired) || ctx.Err() != nil {
-				return err
-			}
-			lastErr = err
-			continue
-		}
-		if err := storage.AtomicWriteFile(dst, body); err != nil {
-			return err
-		}
-		f.filesPull.Add(1)
-		f.bytesPull.Add(int64(len(body)))
-		return nil
-	}
-	return fmt.Errorf("replica: pulling %s/%s: %w", ws.Name, name, lastErr)
+	return syncDir(segDir)
 }
 
 // pullSegment stages every file of one missing segment under
@@ -378,16 +352,16 @@ func (f *Follower) pullSegment(ctx context.Context, ws WireSegment) error {
 	return nil
 }
 
-// pullFile lands one file in the staging directory: resume any
-// .partial left by an earlier attempt via a Range request, stream the
-// rest while hashing, and promote to the final name only when size and
-// CRC match the manifest. A mismatch discards the partial and retries
-// from zero — corrupt bytes never survive an attempt, let alone reach
-// a committed directory.
-func (f *Follower) pullFile(ctx context.Context, staging string, seq uint64, wf WireFile) error {
-	target := filepath.Join(staging, wf.Name)
+// pullFile lands one file in dir — a staging directory, or for a bitmap
+// version the committed segment directory: resume any .partial left by
+// an earlier attempt via a Range request, stream the rest while
+// hashing, and promote to the final name only when size and CRC match
+// the manifest. A mismatch discards the partial and retries from zero —
+// corrupt bytes never survive an attempt, let alone reach a final name.
+func (f *Follower) pullFile(ctx context.Context, dir string, seq uint64, wf WireFile) error {
+	target := filepath.Join(dir, wf.Name)
 	if fileMatches(target, wf) {
-		return nil // landed by an earlier in-process attempt before a replan
+		return nil // landed by an earlier attempt: before a replan, or by an aborted sync
 	}
 	partial := target + ".partial"
 	var lastErr error
@@ -469,7 +443,9 @@ func (f *Follower) fetchInto(ctx context.Context, path string, seq uint64, wf Wi
 		default:
 			return fmt.Errorf("leader answered %s", resp.Status)
 		}
-		n, err := io.Copy(io.MultiWriter(pf, h), resp.Body)
+		// One byte past the declared size is enough to expose an overlong
+		// body; the rest of it is never read, let alone written.
+		n, err := io.Copy(io.MultiWriter(pf, h), io.LimitReader(resp.Body, wf.Size-offset+1))
 		offset += n
 		if err != nil {
 			return err
@@ -482,33 +458,6 @@ func (f *Follower) fetchInto(ctx context.Context, path string, seq uint64, wf Wi
 		return fmt.Errorf("CRC mismatch: got %08x, manifest says %08x (corrupt transfer)", h.Sum32(), wf.CRC)
 	}
 	return pf.Sync()
-}
-
-// fetchWhole gets one (small) file fully into memory, CRC-verified.
-func (f *Follower) fetchWhole(ctx context.Context, seq uint64, wf WireFile) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.fileURL(seq, wf.Name), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := f.cfg.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, errRetired
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("replica: leader answered %s", resp.Status)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, wf.Size+1))
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(body)) != wf.Size || crc32.ChecksumIEEE(body) != wf.CRC {
-		return nil, fmt.Errorf("replica: %s: corrupt transfer (size %d/%d)", wf.Name, len(body), wf.Size)
-	}
-	return body, nil
 }
 
 // fetchManifest gets and decodes the leader's wire manifest.
@@ -541,8 +490,11 @@ func (f *Follower) discard(wm *WireManifest, local live.Manifest) {
 		have[s.Name] = true
 	}
 	for _, ws := range wm.Segments {
-		if !have[ws.Name] {
-			os.RemoveAll(filepath.Join(f.w.Dir(), ws.Name))
+		if have[ws.Name] {
+			continue
+		}
+		if err := os.RemoveAll(filepath.Join(f.w.Dir(), ws.Name)); err != nil {
+			log.Printf("replica: discarding uninstallable segment %s: %v (the next sync or reopen GC will retry)", ws.Name, err)
 		}
 	}
 }

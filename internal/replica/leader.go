@@ -21,11 +21,12 @@ import (
 	"repro/internal/storage"
 )
 
+// transferPoolPages is the buffer-pool capacity each segment-data
+// transfer reads through.
+const transferPoolPages = 64
+
 // LeaderConfig tunes the pull-serving side.
 type LeaderConfig struct {
-	// PoolPages is the buffer-pool capacity each segment-data transfer
-	// reads through. Default 64.
-	PoolPages int
 	// WrapDevice, if set, wraps the page device under every
 	// segment-data transfer — the fault-injection seam for the serving
 	// path, mirroring live.Config.WrapDevice. A fault injected here
@@ -58,9 +59,6 @@ type Leader struct {
 
 // NewLeader builds the pull-serving handler over w.
 func NewLeader(w *live.Writer, cfg LeaderConfig) *Leader {
-	if cfg.PoolPages <= 0 {
-		cfg.PoolPages = 64
-	}
 	return &Leader{w: w, cfg: cfg, crcs: map[string]WireFile{}}
 }
 
@@ -227,7 +225,7 @@ func (l *Leader) serveFile(w http.ResponseWriter, r *http.Request) {
 	if l.cfg.WrapDevice != nil {
 		dev = l.cfg.WrapDevice(segName, dev)
 	}
-	pool, err := storage.NewPool(dev, l.cfg.PoolPages)
+	pool, err := storage.NewPool(dev, transferPoolPages)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

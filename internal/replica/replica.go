@@ -88,7 +88,7 @@ type WireManifest struct {
 // Manifest strips the file inventories back to the live manifest form
 // ApplyManifest installs.
 func (wm *WireManifest) Manifest() live.Manifest {
-	m := live.Manifest{Generation: wm.Generation, NextSeq: wm.NextSeq}
+	m := live.Manifest{Version: 1, Generation: wm.Generation, NextSeq: wm.NextSeq}
 	for _, s := range wm.Segments {
 		m.Segments = append(m.Segments, s.SegmentInfo)
 	}

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -457,6 +458,115 @@ func TestRetireMidPullSweepsStaging(t *testing.T) {
 	}
 	assertNoPullArtifacts(t, fdir)
 	assertEquiv(t, leader.w, fw, queries)
+}
+
+// bitmapTap is an http.RoundTripper that watches (and can damage) the
+// alive-bitmap transfers of a follower's client.
+type bitmapTap struct {
+	ranges  []string                 // Range header of every bitmap request, in order
+	onReply func(n int, body []byte) // called with each full bitmap reply; may mutate it
+}
+
+func (bt *bitmapTap) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || !strings.Contains(req.URL.Path, "/alive-") {
+		return resp, err
+	}
+	bt.ranges = append(bt.ranges, req.Header.Get("Range"))
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	if bt.onReply != nil {
+		bt.onReply(len(bt.ranges), body)
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	return resp, nil
+}
+
+// A new bitmap version for a segment the follower already serves rides
+// the same resumable, CRC-verified pull as every other file: a partial
+// left in the committed segment directory is extended with a Range
+// request, and a transfer damaged on the wire is retried and never
+// reaches the bitmap's final name.
+func TestBitmapPullResumesAndRetries(t *testing.T) {
+	setup := func(t *testing.T) (*testLeader, *live.Writer, *bitmapTap, *Follower, live.SegmentInfo) {
+		t.Helper()
+		leader := newTestLeader(t, 150, LeaderConfig{})
+		leader.ingest(t, 0, 150)
+		fw := newFollowerWriter(t, t.TempDir())
+		t.Cleanup(func() { fw.Close() })
+		tap := &bitmapTap{}
+		fol, err := NewFollower(fw, leader.ts.URL, FollowerConfig{
+			Client: &http.Client{Transport: tap}, RetryBackoff: time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if advanced, err := fol.SyncOnce(context.Background()); err != nil || !advanced {
+			t.Fatalf("first sync: advanced=%v err=%v", advanced, err)
+		}
+		for _, id := range []uint32{3, 77} { // bitmap versions 1, then 2
+			if err := leader.w.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seg := leader.w.Manifest().Segments[0]
+		if seg.Tomb != 2 || len(tap.ranges) != 0 {
+			t.Fatalf("setup: leader bitmap version %d, %d bitmap requests so far", seg.Tomb, len(tap.ranges))
+		}
+		return leader, fw, tap, fol, seg
+	}
+
+	t.Run("resume", func(t *testing.T) {
+		leader, fw, tap, fol, seg := setup(t)
+		whole, err := os.ReadFile(filepath.Join(leader.w.Dir(), seg.Name, live.AliveFileName(2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		partial := filepath.Join(fw.Dir(), seg.Name, live.AliveFileName(2)+".partial")
+		if err := os.WriteFile(partial, whole[:5], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if advanced, err := fol.SyncOnce(context.Background()); err != nil || !advanced {
+			t.Fatalf("sync: advanced=%v err=%v", advanced, err)
+		}
+		if len(tap.ranges) != 1 || tap.ranges[0] != "bytes=5-" {
+			t.Fatalf("bitmap requests carried Range %q, want one resuming at byte 5", tap.ranges)
+		}
+		if _, err := os.Stat(partial); !os.IsNotExist(err) {
+			t.Fatalf("the partial outlived its promotion (stat: %v)", err)
+		}
+		if got := fw.Manifest().Segments[0]; got != seg {
+			t.Fatalf("follower installed %+v, leader has %+v", got, seg)
+		}
+		assertEquiv(t, leader.w, fw, genQueries(t, leader.col, 10))
+	})
+
+	t.Run("corrupt first transfer", func(t *testing.T) {
+		leader, fw, tap, fol, seg := setup(t)
+		final := filepath.Join(fw.Dir(), seg.Name, live.AliveFileName(2))
+		tap.onReply = func(n int, body []byte) {
+			if n == 1 {
+				body[len(body)/2] ^= 0x40
+				return
+			}
+			if _, err := os.Stat(final); !os.IsNotExist(err) {
+				t.Errorf("the corrupt first transfer reached %s (stat: %v)", final, err)
+			}
+		}
+		if advanced, err := fol.SyncOnce(context.Background()); err != nil || !advanced {
+			t.Fatalf("sync: advanced=%v err=%v", advanced, err)
+		}
+		if st := fol.Stats(); len(tap.ranges) != 2 || st.CRCRetries < 1 {
+			t.Fatalf("%d bitmap requests, %d CRC retries: want a retried transfer", len(tap.ranges), st.CRCRetries)
+		}
+		if got := fw.Manifest().Segments[0]; got != seg {
+			t.Fatalf("follower installed %+v, leader has %+v", got, seg)
+		}
+		assertEquiv(t, leader.w, fw, genQueries(t, leader.col, 10))
+	})
 }
 
 // Wire-protocol hygiene: resumable Range requests, method and path

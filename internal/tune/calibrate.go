@@ -50,13 +50,13 @@ const (
 	initialFaultNs  = 100_000
 )
 
-func newCalibrator(alpha, termsAlpha float64) calibrator {
+func newCalibrator() calibrator {
 	return calibrator{
 		alpha:    alpha,
 		decodeNs: initialDecodeNs,
 		faultNs:  initialFaultNs,
 		poolNs:   ewma{alpha: alpha},
-		terms:    ewma{alpha: termsAlpha},
+		terms:    ewma{alpha: alpha},
 	}
 }
 
@@ -120,14 +120,8 @@ func (c *calibrator) solve() {
 	}
 }
 
-// pageWeight is the calibrated fault/decode cost ratio, clamped.
-func (c *calibrator) pageWeight(min, max float64) float64 {
-	w := c.faultNs / c.decodeNs
-	if w < min {
-		w = min
-	}
-	if w > max {
-		w = max
-	}
-	return w
+// pageWeight is the calibrated fault/decode cost ratio, clamped to
+// [minPageWeight, maxPageWeight].
+func (c *calibrator) pageWeight() float64 {
+	return min(max(c.faultNs/c.decodeNs, minPageWeight), maxPageWeight)
 }

@@ -65,7 +65,7 @@ type SpanModel struct {
 }
 
 // Config parameterizes a Tuner. The zero value is usable: wall-clock
-// spans, every knob frozen, default decay rates.
+// spans, every knob frozen.
 type Config struct {
 	// SpanModel, when set, derives spans from counters (see SpanModel).
 	SpanModel *SpanModel
@@ -76,45 +76,29 @@ type Config struct {
 	SealDocs   Bounds
 	MergeFanIn Bounds
 	PoolPages  Bounds
-	// HorizonScale caps the adaptive amortization-horizon multiplier:
-	// the effective horizon stays within [base/HorizonScale,
-	// base×HorizonScale] (floored at 1). Default 8.
-	HorizonScale float64
-	// MinPageWeight / MaxPageWeight clamp the calibrated page weight.
-	// Defaults 1 and 1e6.
-	MinPageWeight, MaxPageWeight float64
-	// Alpha is the per-observation decay of the regression and latency
-	// EWMAs. Default 0.05.
-	Alpha float64
-	// MixAlpha is the decay of the read/write mix EWMA that drives the
-	// knob policy. Default 0.02 (time constant ≈ 50 operations).
-	MixAlpha float64
-	// Recent bounds the retained decision ring surfaced by Stats.
-	// Default 16.
-	Recent int
 }
+
+// The tuner's fixed coefficients.
+const (
+	// horizonScale caps the adaptive amortization-horizon multiplier: the
+	// effective horizon stays within [base/horizonScale,
+	// base×horizonScale] (floored at 1).
+	horizonScale = 8.0
+	// minPageWeight / maxPageWeight clamp the calibrated page weight.
+	minPageWeight, maxPageWeight = 1.0, 1e6
+	// alpha is the per-observation decay of the regression and latency
+	// EWMAs.
+	alpha = 0.05
+	// mixAlpha is the decay of the read/write mix EWMA that drives the
+	// knob policy (time constant ≈ 50 operations).
+	mixAlpha = 0.02
+	// recentDecisions bounds the retained decision ring surfaced by Stats.
+	recentDecisions = 16
+)
 
 func (c *Config) fillDefaults() {
 	if c.Now == nil {
 		c.Now = time.Now
-	}
-	if c.HorizonScale <= 0 {
-		c.HorizonScale = 8
-	}
-	if c.MinPageWeight <= 0 {
-		c.MinPageWeight = 1
-	}
-	if c.MaxPageWeight <= 0 {
-		c.MaxPageWeight = 1e6
-	}
-	if c.Alpha <= 0 {
-		c.Alpha = 0.05
-	}
-	if c.MixAlpha <= 0 {
-		c.MixAlpha = 0.02
-	}
-	if c.Recent <= 0 {
-		c.Recent = 16
 	}
 }
 
@@ -177,7 +161,7 @@ type Tuner struct {
 	// last returned knob values, for change detection
 	lastSeal, lastFan, lastPool, lastHorizon int
 
-	decisions []Decision // ring, newest last, ≤ cfg.Recent
+	decisions []Decision // ring, newest last, ≤ recentDecisions
 	decSeq    int64
 	digest    uint32 // FNV-1a (32-bit) over canonical decision strings
 }
@@ -189,10 +173,10 @@ func New(cfg Config) *Tuner {
 	cfg.fillDefaults()
 	t := &Tuner{
 		cfg:       cfg,
-		cal:       newCalibrator(cfg.Alpha, cfg.Alpha),
-		mix:       ewma{alpha: cfg.MixAlpha},
-		faultsQ:   ewma{alpha: cfg.Alpha},
-		costRatio: ewma{alpha: cfg.Alpha},
+		cal:       newCalibrator(),
+		mix:       ewma{alpha: mixAlpha},
+		faultsQ:   ewma{alpha: alpha},
+		costRatio: ewma{alpha: alpha},
 		digest:    fnvOffset32,
 	}
 	return t
@@ -309,7 +293,7 @@ func (t *Tuner) ObserveMerge(o MergeObs) {
 	}
 	t.mu.Lock()
 	t.merges++
-	w := t.cal.pageWeight(t.cfg.MinPageWeight, t.cfg.MaxPageWeight)
+	w := t.cal.pageWeight()
 	real := w*float64(o.PagesRead+o.PagesWritten) + float64(o.Reencoded)
 	if o.PredCost > 0 {
 		ratio := real / o.PredCost
@@ -344,7 +328,7 @@ func (t *Tuner) PageWeight() float64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.cal.pageWeight(t.cfg.MinPageWeight, t.cfg.MaxPageWeight)
+	return t.cal.pageWeight()
 }
 
 // TermsPerQuery is the observed query fan-out EWMA; 0 until the first
@@ -383,14 +367,14 @@ func (t *Tuner) queryWriteRatioLocked() float64 {
 	}
 	m := t.mix.v
 	if m >= 1 {
-		return t.cfg.HorizonScale
+		return horizonScale
 	}
 	qw := m / (1 - m)
-	if qw < 1/t.cfg.HorizonScale {
-		qw = 1 / t.cfg.HorizonScale
+	if qw < 1/horizonScale {
+		qw = 1 / horizonScale
 	}
-	if qw > t.cfg.HorizonScale {
-		qw = t.cfg.HorizonScale
+	if qw > horizonScale {
+		qw = horizonScale
 	}
 	return qw
 }
@@ -398,7 +382,7 @@ func (t *Tuner) queryWriteRatioLocked() float64 {
 // Horizon adapts the amortization horizon to the observed read/write
 // mix: read-heavy phases stretch it (merges amortize over many queries
 // to come), write-heavy phases shrink it (a merged run is soon buried
-// under new segments). Clamped to [1, base×HorizonScale].
+// under new segments). Clamped to [1, base×horizonScale].
 func (t *Tuner) Horizon(base int) int {
 	if t == nil {
 		return base
@@ -409,7 +393,7 @@ func (t *Tuner) Horizon(base int) int {
 	if h < 1 {
 		h = 1
 	}
-	if max := int(float64(base) * t.cfg.HorizonScale); h > max && max >= 1 {
+	if max := int(float64(base) * horizonScale); h > max && max >= 1 {
 		h = max
 	}
 	t.noteKnobLocked("horizon", &t.lastHorizon, h)
@@ -517,8 +501,8 @@ func (t *Tuner) addDecisionLocked(d Decision) {
 		t.digest *= fnvPrime32
 	}
 	t.decisions = append(t.decisions, d)
-	if len(t.decisions) > t.cfg.Recent {
-		t.decisions = t.decisions[len(t.decisions)-t.cfg.Recent:]
+	if len(t.decisions) > recentDecisions {
+		t.decisions = t.decisions[len(t.decisions)-recentDecisions:]
 	}
 }
 
@@ -542,7 +526,7 @@ func (t *Tuner) Stats() Stats {
 	defer t.mu.Unlock()
 	s := Stats{
 		Enabled:        true,
-		PageWeight:     t.cal.pageWeight(t.cfg.MinPageWeight, t.cfg.MaxPageWeight),
+		PageWeight:     t.cal.pageWeight(),
 		DecodeNs:       t.cal.decodeNs,
 		FaultNs:        t.cal.faultNs,
 		Queries:        t.queries,

@@ -30,7 +30,7 @@ func feedPlanted(c *calibrator, n int, rng *rand.Rand) {
 // the regression must recover the planted coefficients — and therefore
 // the planted page weight — to high precision.
 func TestCalibratorConvergence(t *testing.T) {
-	c := newCalibrator(0.05, 0.05)
+	c := newCalibrator()
 	feedPlanted(&c, 500, rand.New(rand.NewSource(1)))
 	if rel := math.Abs(c.decodeNs-plantDecodeNs) / plantDecodeNs; rel > 1e-6 {
 		t.Fatalf("decodeNs = %g, want %g (rel err %g)", c.decodeNs, plantDecodeNs, rel)
@@ -39,7 +39,7 @@ func TestCalibratorConvergence(t *testing.T) {
 		t.Fatalf("faultNs = %g, want %g (rel err %g)", c.faultNs, plantFaultNs, rel)
 	}
 	want := plantFaultNs / plantDecodeNs
-	if got := c.pageWeight(1, 1e6); math.Abs(got-want)/want > 1e-6 {
+	if got := c.pageWeight(); math.Abs(got-want)/want > 1e-6 {
 		t.Fatalf("pageWeight = %g, want %g", got, want)
 	}
 }
@@ -47,7 +47,7 @@ func TestCalibratorConvergence(t *testing.T) {
 // TestCalibratorConvergenceNoisy: with bounded multiplicative noise the
 // estimates still land within the noise band.
 func TestCalibratorConvergenceNoisy(t *testing.T) {
-	c := newCalibrator(0.05, 0.05)
+	c := newCalibrator()
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 2000; i++ {
 		d := int64(500 + rng.Intn(5000))
@@ -69,14 +69,14 @@ func TestCalibratorConvergenceNoisy(t *testing.T) {
 // through the regression channel and through the direct pool channel.
 func TestCalibratorMonotoneInLatency(t *testing.T) {
 	weightAt := func(faultNs float64) float64 {
-		c := newCalibrator(0.05, 0.05)
+		c := newCalibrator()
 		rng := rand.New(rand.NewSource(3))
 		for i := 0; i < 500; i++ {
 			d := int64(500 + rng.Intn(5000))
 			f := int64(rng.Intn(40))
 			c.observeQuery(d, f, plantDecodeNs*float64(d)+faultNs*float64(f))
 		}
-		return c.pageWeight(1, 1e6)
+		return c.pageWeight()
 	}
 	lo, mid, hi := weightAt(30_000), weightAt(90_000), weightAt(300_000)
 	if !(lo < mid && mid < hi) {
@@ -84,11 +84,11 @@ func TestCalibratorMonotoneInLatency(t *testing.T) {
 	}
 
 	poolWeightAt := func(readNs float64) float64 {
-		c := newCalibrator(0.05, 0.05)
+		c := newCalibrator()
 		for i := 0; i < 100; i++ {
 			c.observePoolReads(4, 4*readNs)
 		}
-		return c.pageWeight(1, 1e6)
+		return c.pageWeight()
 	}
 	lo, hi = poolWeightAt(50_000), poolWeightAt(500_000)
 	if !(lo < hi) {
@@ -101,7 +101,7 @@ func TestCalibratorMonotoneInLatency(t *testing.T) {
 // estimates never go non-positive.
 func TestCalibratorDegenerateStreams(t *testing.T) {
 	// faults always zero: decode axis identified, fault prior retained
-	c := newCalibrator(0.05, 0.05)
+	c := newCalibrator()
 	for i := 0; i < 200; i++ {
 		d := int64(1000 + 10*i)
 		c.observeQuery(d, 0, plantDecodeNs*float64(d))
@@ -114,7 +114,7 @@ func TestCalibratorDegenerateStreams(t *testing.T) {
 	}
 
 	// all-zero observations must not corrupt anything
-	c = newCalibrator(0.05, 0.05)
+	c = newCalibrator()
 	for i := 0; i < 50; i++ {
 		c.observeQuery(0, 0, 0)
 	}
