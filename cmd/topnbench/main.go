@@ -40,11 +40,11 @@
 // live index served over a real localhost HTTP listener, then an
 // open-loop client offers -load-requests requests at -load-rate
 // arrivals/second followed by an overload burst that exercises
-// admission shedding (429 + Retry-After). Latency quantiles and
-// served/shed splits are reported (machine-dependent, gate-exempt via
-// the load_ metric prefix); the gated facts are that every request is
-// answered and that an unloaded sweep gets answers byte-identical to
-// the in-process live.Searcher.
+// admission shedding (429 + Retry-After). LOAD reports splits and
+// identity only, no time: the served/shed splits depend on scheduling
+// (gate-exempt via the load_ metric prefix); the gated facts are that
+// every request is answered and that an unloaded sweep gets answers
+// byte-identical to the in-process live.Searcher.
 //
 // The HOT experiment exercises the cache-amortized query path: a
 // repeat-heavy Zipf stream over a churning live index served with and
@@ -67,7 +67,7 @@
 // -persist DIR builds the workload index at the chosen scale/seed,
 // writes it under DIR, and exits; a later `-exp DISK -from DIR` serves
 // queries from that segment. -json writes the machine-readable report
-// (per-experiment wall-clock, rows, and headline metrics) alongside the
+// (rows and headline metrics, no per-experiment wall-clock) alongside the
 // rendered tables; CI uploads it as an artifact, stamped with commit
 // SHA, timestamp, and scale so each artifact is a self-describing
 // trajectory point.
@@ -76,8 +76,8 @@
 // fresh report is diffed against the committed baseline — experiment
 // set, table shapes, exactness flags, and deterministic counters
 // (decodes, skips, faults, hit rates) must match exactly — and any drift
-// exits nonzero. Timings are recorded but not gated here; the timed gate
-// is benchmark/ (see BENCHMARK.json). Refresh the baseline deliberately
+// exits nonzero. No time is recorded or gated here; the timed gate is
+// benchmark/ (see BENCHMARK.json). Refresh the baseline deliberately
 // with
 // `go run ./cmd/topnbench -exp all -scale small -shards 4 -workers 2 -json BENCH_baseline.json`.
 //
@@ -260,7 +260,7 @@ func main() {
 		elapsed := time.Since(start)
 		tbl.Render(os.Stdout)
 		fmt.Printf("  (%s in %s)\n", id, elapsed.Round(time.Millisecond))
-		report.Add(tbl, elapsed)
+		report.Add(tbl)
 	}
 
 	if *jsonPath != "" {

@@ -68,8 +68,8 @@
 // -tune closes the loop of the paper's cost model on the live server:
 // a self-tuner (internal/tune) calibrates the page-weight and
 // terms-per-query coefficients from the server's own counters and
-// adapts the seal threshold, merge fan-in, and buffer-pool size within
-// fixed bounds. Maintenance timing changes; answers never do. GET
+// adapts the seal threshold, the merge horizon and run lengths, and the
+// buffer-pool size within fixed bounds. Maintenance timing changes; answers never do. GET
 // /tune reports the calibrated coefficients, current knob
 // recommendations, and the recent decision log.
 //
@@ -141,7 +141,7 @@ func main() {
 	flag.Int64Var(&o.resultCacheBytes, "result-cache-bytes", 64<<20, "query result cache capacity (0 disables)")
 	flag.Int64Var(&o.blockCacheBytes, "block-cache-bytes", 32<<20, "hot postings-block cache capacity (0 disables)")
 	flag.StringVar(&o.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this separate address (empty disables)")
-	flag.BoolVar(&o.tuneOn, "tune", false, "self-tune maintenance (seal size, merge fan-in, pool size) from live counters; state on /tune")
+	flag.BoolVar(&o.tuneOn, "tune", false, "self-tune maintenance (seal size, merge run lengths, pool size) from live counters; state on /tune")
 	flag.Parse()
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "topnserve:", err)

@@ -7,7 +7,6 @@ import (
 	"os"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/collection"
 	"repro/internal/live"
@@ -129,7 +128,6 @@ func RunChaos(s Scale, seed uint64) (*Table, error) {
 	content := map[uint32]int{}
 	var aliveIDs []uint32
 	rng := rand.New(rand.NewSource(int64(seed) + 0xc4a0))
-	start := time.Now()
 	for c := 0; c < batches; c++ {
 		lo := c * len(col.Docs) / batches
 		hi := (c + 1) * len(col.Docs) / batches
@@ -175,7 +173,6 @@ func RunChaos(s Scale, seed uint64) (*Table, error) {
 			return nil, err
 		}
 	}
-	ingest := time.Since(start)
 	if got, want := flt.Stats().Segments, ref.Stats().Segments; got != want {
 		return nil, fmt.Errorf("bench: CHAOS layouts diverged: %d vs %d segments", got, want)
 	}
@@ -207,7 +204,7 @@ func RunChaos(s Scale, seed uint64) (*Table, error) {
 		ID: "CHAOS",
 		Title: fmt.Sprintf("fault injection: churned live index under transient/permanent/recovered fault schedules (%d docs, %d segments, %d queries/phase)",
 			len(col.Docs), ref.Stats().Segments, len(queries)),
-		Columns: []string{"phase", "queries", "exact", "degraded", "retries", "faults", "quarantined", "wall"},
+		Columns: []string{"phase", "queries", "exact", "degraded", "retries", "faults", "quarantined"},
 		Metrics: map[string]float64{},
 	}
 
@@ -217,7 +214,6 @@ func RunChaos(s Scale, seed uint64) (*Table, error) {
 	fltSearch := flt.Searcher()
 	probe := func(phase string) (exact, degraded int, err error) {
 		before := flt.FaultStats()
-		start := time.Now()
 		for i := range queries {
 			res, err := fltSearch.Search(names[i], n)
 			if err != nil {
@@ -251,11 +247,10 @@ func RunChaos(s Scale, seed uint64) (*Table, error) {
 			}
 			degraded++
 		}
-		wall := time.Since(start)
 		after := flt.FaultStats()
 		t.AddRow(phase, len(queries), exact, degraded,
 			after.ReadRetries-before.ReadRetries, after.ReadFaults-before.ReadFaults,
-			after.QuarantinedSegments, wall)
+			after.QuarantinedSegments)
 		return exact, degraded, nil
 	}
 
@@ -324,7 +319,6 @@ func RunChaos(s Scale, seed uint64) (*Table, error) {
 	t.Metrics["chaos_quarantines"] = float64(fs.Quarantines)
 	t.Metrics["chaos_recovered"] = float64(fs.Recovered)
 	t.Metrics["chaos_read_retries"] = float64(fs.ReadRetries)
-	t.Metrics["chaos_ingest_docs_per_sec"] = rate(len(col.Docs), ingest)
 
 	t.Notes = append(t.Notes,
 		"every answer under every schedule is byte-identical to the fault-free answer or",

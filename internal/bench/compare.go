@@ -4,9 +4,9 @@
 // metrics (postings decoded, blocks skipped, page/block faults, hit
 // rates) — must match *exactly*: they are machine-independent by
 // design, so any drift is a behaviour change that either needs a bug
-// fix or a deliberate baseline refresh. Timings are not compared here:
-// the timed gate is benchmark/ (BENCHMARK.json), which measures parent
-// and change on the same machine.
+// fix or a deliberate baseline refresh. No time is recorded here: the
+// timed gate is benchmark/ (BENCHMARK.json), which measures parent and
+// change on the same machine.
 package bench
 
 import (
@@ -14,25 +14,15 @@ import (
 	"strings"
 )
 
-// timingMetric classifies metric keys whose values depend on the
-// machine: they must be present on both sides but are never compared.
-// The naming convention is enforced here — runners name timing metrics
-// with an "_ms" / "per_sec" component, the LOAD experiment prefixes its
-// scheduling-dependent counters (served/shed/timeout splits) with
-// "load_", the CHAOS experiment prefixes its cache-scheduling-
-// dependent fault counters (retries, degraded splits) with "chaos_",
-// the HOT experiment prefixes its singleflight-burst counters
-// (whose hit/shared/miss split depends on goroutine scheduling) with
-// "hot_", the REPL experiment prefixes its transfer-timing numbers
-// with "repl_", and the TUNE experiment prefixes its calibrated
-// coefficient floats (page weight, terms-per-query EWMAs) with "tune_"
-// — its verdict metrics (per-policy costs, adaptive_best,
-// decision_digest, equiv) deliberately do NOT carry the prefix and are
-// gated exactly; everything else must be deterministic.
-func timingMetric(key string) bool {
-	return strings.Contains(key, "_ms") || strings.Contains(key, "per_sec") ||
-		strings.Contains(key, "wall") || strings.Contains(key, "latency") ||
-		strings.HasPrefix(key, "load_") || strings.HasPrefix(key, "chaos_") ||
+// ungatedMetric classifies metric keys whose values depend on
+// goroutine scheduling or float calibration, by experiment prefix: LOAD's
+// served/shed/timeout splits ("load_"), CHAOS's retry and degraded
+// splits ("chaos_"), HOT's singleflight-burst split ("hot_"), REPL's
+// transfer numbers ("repl_") and TUNE's calibrated coefficients
+// ("tune_"). They must be present on both sides but are never compared;
+// every other key — TUNE's verdict metrics included — is gated exactly.
+func ungatedMetric(key string) bool {
+	return strings.HasPrefix(key, "load_") || strings.HasPrefix(key, "chaos_") ||
 		strings.HasPrefix(key, "hot_") || strings.HasPrefix(key, "repl_") ||
 		strings.HasPrefix(key, "tune_")
 }
@@ -95,8 +85,8 @@ func compareExperiment(b, f *ReportExperiment, add func(string, ...interface{}))
 			add("%s: metric %q in baseline but not in the fresh run", b.ID, key)
 			continue
 		}
-		if timingMetric(key) {
-			continue // machine-dependent
+		if ungatedMetric(key) {
+			continue
 		}
 		if bv != fv {
 			add("%s: metric %q = %v, baseline %v (deterministic counter drift)", b.ID, key, fv, bv)

@@ -13,16 +13,16 @@ func baseReport() *Report {
 		Scale: "small", Seed: 42,
 		Experiments: []ReportExperiment{
 			{
-				ID: "E12", Title: "t", WallMS: 10,
+				ID: "E12", Title: "t",
 				Columns: []string{"a", "b"},
 				Rows:    [][]string{{"1", "2"}},
 				Metrics: map[string]float64{"decodes": 14345, "skips": 120},
 			},
 			{
-				ID: "LIVE", Title: "t", WallMS: 50,
+				ID: "LIVE", Title: "t",
 				Columns: []string{"x"},
 				Rows:    [][]string{{"1"}, {"2"}},
-				Metrics: map[string]float64{"equiv": 1, "merges": 2, "search_ms_per_query": 0.5},
+				Metrics: map[string]float64{"equiv": 1, "merges": 2, "probe_ms": 3},
 			},
 		},
 	}
@@ -43,15 +43,37 @@ func clone(t *testing.T, r *Report) *Report {
 
 // TestCompareIdentical: a report must pass against its own JSON
 // round-trip (the committed-baseline path), regardless of provenance
-// stamps and of anything machine-dependent (timing metrics, wall-clock).
+// stamps.
 func TestCompareIdentical(t *testing.T) {
 	b := baseReport()
 	f := clone(t, b)
 	f.GitSHA, f.Timestamp = "deadbeef", time.Now().Format(time.RFC3339)
-	f.Experiments[1].Metrics["search_ms_per_query"] = 400
-	f.Experiments[1].WallMS = 50 * 26
 	if diffs := CompareReports(b, f); len(diffs) != 0 {
 		t.Fatalf("identical reports flagged: %v", diffs)
+	}
+}
+
+// TestCompareUngated: only the five scheduling-dependent prefixes are
+// exempt from exact comparison; a key that merely looks like a timing
+// ("_ms") is gated like any counter, so wall-clock cannot hide in the
+// counter gate.
+func TestCompareUngated(t *testing.T) {
+	prefixes := []string{"load_", "chaos_", "hot_", "repl_", "tune_"}
+	b := baseReport()
+	for _, prefix := range prefixes {
+		b.Experiments[1].Metrics[prefix+"x"] = 1
+	}
+	f := clone(t, b)
+	for _, prefix := range prefixes {
+		f.Experiments[1].Metrics[prefix+"x"] = 2
+	}
+	if diffs := CompareReports(b, f); len(diffs) != 0 {
+		t.Fatalf("prefixed metrics were compared: %v", diffs)
+	}
+	f.Experiments[1].Metrics["probe_ms"] = 400
+	diffs := CompareReports(b, f)
+	if len(diffs) != 1 || !strings.Contains(diffs[0], "probe_ms") {
+		t.Fatalf("an _ms key must be gated like any counter: %v", diffs)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/collection"
 	"repro/internal/core"
@@ -133,7 +132,6 @@ func RunHot(s Scale, seed uint64) (*Table, error) {
 		}
 		return nil
 	}
-	start := time.Now()
 	for c := 0; c < 2; c++ {
 		lo, hi := c*docs/2, (c+1)*docs/2
 		for i := lo; i < hi; i++ {
@@ -145,7 +143,6 @@ func RunHot(s Scale, seed uint64) (*Table, error) {
 			return nil, err
 		}
 	}
-	ingest := time.Since(start)
 	if on.Stats().Segments != off.Stats().Segments || blk.Stats().Segments != off.Stats().Segments {
 		return nil, fmt.Errorf("bench: HOT layouts diverged: off %d, on %d, blk %d segments",
 			off.Stats().Segments, on.Stats().Segments, blk.Stats().Segments)
@@ -177,7 +174,7 @@ func RunHot(s Scale, seed uint64) (*Table, error) {
 		ID: "HOT",
 		Title: fmt.Sprintf("cache-amortized hot query path: %d-request Zipf stream over %d queries, %d docs, %d segments",
 			stream, len(setA), docs, off.Stats().Segments),
-		Columns: []string{"phase", "requests", "res hits", "res misses", "decodedΔ", "faultedΔ", "blk hitsΔ", "wall"},
+		Columns: []string{"phase", "requests", "res hits", "res misses", "decodedΔ", "faultedΔ", "blk hitsΔ"},
 		Metrics: map[string]float64{},
 	}
 	offS, onS, blkS := off.Searcher(), on.Searcher(), blk.Searcher()
@@ -189,12 +186,10 @@ func RunHot(s Scale, seed uint64) (*Table, error) {
 		if err != nil {
 			return live.CacheStats{}, 0, 0, err
 		}
-		phaseStart := time.Now()
 		requests, err := body()
 		if err != nil {
 			return live.CacheStats{}, 0, 0, err
 		}
-		wall := time.Since(phaseStart)
 		d1, f1, err := counters(w)
 		if err != nil {
 			return live.CacheStats{}, 0, 0, err
@@ -205,7 +200,7 @@ func RunHot(s Scale, seed uint64) (*Table, error) {
 			ResultMisses: cs1.ResultMisses - cs0.ResultMisses,
 			BlockHits:    cs1.BlockHits - cs0.BlockHits,
 		}
-		t.AddRow(phase, requests, delta.ResultHits, delta.ResultMisses, d1-d0, f1-f0, delta.BlockHits, wall)
+		t.AddRow(phase, requests, delta.ResultHits, delta.ResultMisses, d1-d0, f1-f0, delta.BlockHits)
 		return delta, d1 - d0, f1 - f0, nil
 	}
 
@@ -399,7 +394,6 @@ func RunHot(s Scale, seed uint64) (*Table, error) {
 		return nil, err
 	}
 	const burstG, burstR = 8, 25
-	burstStart := time.Now()
 	var wg sync.WaitGroup
 	burstErrs := make([]error, burstG)
 	for g := 0; g < burstG; g++ {
@@ -420,7 +414,6 @@ func RunHot(s Scale, seed uint64) (*Table, error) {
 		}(g)
 	}
 	wg.Wait()
-	burstWall := time.Since(burstStart)
 	for _, err := range burstErrs {
 		if err != nil {
 			return nil, err
@@ -429,11 +422,9 @@ func RunHot(s Scale, seed uint64) (*Table, error) {
 	burstCS := on.CacheStats()
 	t.AddRow("burst", burstG*burstR, burstCS.ResultHits-burstBase.ResultHits,
 		burstCS.ResultMisses-burstBase.ResultMisses, "-", "-",
-		burstCS.BlockHits-burstBase.BlockHits, burstWall)
+		burstCS.BlockHits-burstBase.BlockHits)
 	t.Metrics["hot_burst_hits"] = float64(burstCS.ResultHits - burstBase.ResultHits)
 	t.Metrics["hot_burst_shared"] = float64(burstCS.SingleflightShared - burstBase.SingleflightShared)
-	t.Metrics["hot_replay_per_sec"] = rate(stream, ingest) // ingest-normalized throughput hint
-	t.Metrics["hot_ingest_docs_per_sec"] = rate(docs, ingest)
 
 	// Allocation gates: the audited hot loop of both engines runs a
 	// warmed search with zero heap allocations.

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"os"
 	"sort"
-	"time"
 
 	"repro/internal/collection"
 	"repro/internal/core"
@@ -25,8 +24,8 @@ import (
 // tombstoned, split evenly between plain deletes and updates that
 // re-ingest the same content under a fresh id), and then the whole
 // query workload probes the current snapshot. Each checkpoint reports
-// ingest throughput, search latency, the segment count (the
-// fragmentation queries pay for), cumulative merges, churn accounting,
+// the segment count (the fragmentation queries pay for), cumulative
+// merges, churn accounting,
 // and the deterministic decode/fault counters of the probe pass.
 //
 // Merging runs through MergeAll between batches rather than the
@@ -80,7 +79,7 @@ func RunLive(s Scale, seed uint64, sealDocs, fanIn int, churn float64) (*Table, 
 		ID: "LIVE",
 		Title: fmt.Sprintf("live index: interleaved insert/delete/update/search (%d docs, %d queries/probe, seal=%d, fanIn=%d, churn=%.2g)",
 			len(w.Col.Docs), len(w.Queries), sealDocs, fanIn, churn),
-		Columns: []string{"docs", "deleted", "updated", "alive", "segments", "merges", "ingest", "docs/s", "probe", "ms/query", "decodes", "blockFaults", "allExact"},
+		Columns: []string{"docs", "deleted", "updated", "alive", "segments", "merges", "decodes", "blockFaults", "allExact"},
 		Metrics: map[string]float64{},
 	}
 
@@ -95,14 +94,12 @@ func RunLive(s Scale, seed uint64, sealDocs, fanIn int, churn float64) (*Table, 
 	rng := rand.New(rand.NewSource(int64(seed) + 0x11fe))
 
 	var probeDecodes, probeFaults int64
-	var ingestTotal, searchTotal time.Duration
 	var deleted, updated int64
 	allExact := true
 	for c := 0; c < checkpoints; c++ {
 		lo := c * len(w.Col.Docs) / checkpoints
 		hi := (c + 1) * len(w.Col.Docs) / checkpoints
 
-		start := time.Now()
 		for i := lo; i < hi; i++ {
 			id, err := lw.Add(live.DocTerms(w.Col.Lex, w.Col.Docs[i]))
 			if err != nil {
@@ -143,15 +140,12 @@ func RunLive(s Scale, seed uint64, sealDocs, fanIn int, churn float64) (*Table, 
 		if err := lw.MergeAll(); err != nil {
 			return nil, err
 		}
-		ingest := time.Since(start)
-		ingestTotal += ingest
 
 		snap, err := lw.Acquire()
 		if err != nil {
 			return nil, err
 		}
 		snap.ResetCounters()
-		start = time.Now()
 		exact := true
 		for i := range w.Queries {
 			res, err := snap.Search(names[i], n)
@@ -161,8 +155,6 @@ func RunLive(s Scale, seed uint64, sealDocs, fanIn int, churn float64) (*Table, 
 			}
 			exact = exact && res.Exact
 		}
-		probe := time.Since(start)
-		searchTotal += probe
 		decoded, _, faulted := snap.Counters()
 		segments := snap.Segments()
 		snap.Close()
@@ -174,9 +166,7 @@ func RunLive(s Scale, seed uint64, sealDocs, fanIn int, churn float64) (*Table, 
 		// reported in its own column (WriterStats.DocsDeleted would
 		// count both and double-report updates).
 		st := lw.Stats()
-		t.AddRow(hi, deleted, updated, st.DocsAlive, segments, st.Merges, ingest,
-			rate(hi-lo, ingest), probe, msPerQuery(probe, len(w.Queries)),
-			decoded, faulted, exact)
+		t.AddRow(hi, deleted, updated, st.DocsAlive, segments, st.Merges, decoded, faulted, exact)
 	}
 
 	// Equivalence: the final live state must answer exactly like a
@@ -237,8 +227,6 @@ func RunLive(s Scale, seed uint64, sealDocs, fanIn int, churn float64) (*Table, 
 	t.Metrics["probe_block_faults"] = float64(probeFaults)
 	t.Metrics["all_exact"] = boolMetric(allExact)
 	t.Metrics["equiv"] = 1
-	t.Metrics["ingest_docs_per_sec"] = rate(len(w.Col.Docs), ingestTotal)
-	t.Metrics["search_ms_per_query"] = msPerQuery(searchTotal, checkpoints*len(w.Queries))
 
 	t.Notes = append(t.Notes,
 		"every probe answer carries the merge's exactness certificate; the final state is",
@@ -246,7 +234,7 @@ func RunLive(s Scale, seed uint64, sealDocs, fanIn int, churn float64) (*Table, 
 		fmt.Sprintf("churn=%.2g: %d deletes + %d updates tombstoned; merges purge dead postings and", churn, deleted, updated),
 		fmt.Sprintf("re-tighten bounds; seals=%d merges=%d -> %d active segments, %d docs alive",
 			st.Seals, st.Merges, st.Segments, st.DocsAlive),
-		"ingest includes seal+merge+tombstone time; decodes/blockFaults are probe-side only")
+		"decodes/blockFaults are probe-side only")
 	return t, nil
 }
 
@@ -298,20 +286,6 @@ func sameTop(got, want []rank.DocScore) error {
 		}
 	}
 	return nil
-}
-
-func rate(items int, d time.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return float64(items) / d.Seconds()
-}
-
-func msPerQuery(d time.Duration, queries int) float64 {
-	if queries == 0 {
-		return 0
-	}
-	return float64(d.Microseconds()) / 1000 / float64(queries)
 }
 
 func boolMetric(b bool) float64 {

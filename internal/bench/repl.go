@@ -39,10 +39,9 @@ import (
 //     named — while the results still match the freshest replica; with
 //     every replica down the coordinator answers 503, not stale data.
 //
-// Counters that depend only on the deterministic workload — syncs,
+// Every counter depends only on the deterministic workload — syncs,
 // segments/files/bytes pulled, certificate splits, equivalence flags —
-// are gated exactly; wall-clock style numbers carry the repl_ prefix
-// and are exempt.
+// and is gated exactly.
 func RunRepl(s Scale, seed uint64) (*Table, error) {
 	w, err := NewWorkload(s, seed)
 	if err != nil {
@@ -111,7 +110,6 @@ func RunRepl(s Scale, seed uint64) (*Table, error) {
 		Columns: []string{"phase", "leader gen", "follower gen", "segs pulled", "files pulled", "outcome"},
 		Metrics: map[string]float64{},
 	}
-	syncStart := time.Now()
 
 	// Phase 1: catch-up under churn. Each batch ingests a slice of the
 	// corpus, tombstones a couple of earlier documents (so alive-bitmap
@@ -280,7 +278,6 @@ func RunRepl(s Scale, seed uint64) (*Table, error) {
 	t.AddRow("merge mid-pull (404 replan)", lw.Manifest().Generation, fw.Manifest().Generation,
 		st.SegmentsPulled+st2.SegmentsPulled+st3.SegmentsPulled,
 		st.FilesPulled+st2.FilesPulled+st3.FilesPulled, "replanned")
-	syncWall := time.Since(syncStart)
 
 	// Phase 4: coordinator equivalence. Both replicas caught up and
 	// serving HTTP; the scatter/gather answer must be exact and
@@ -390,9 +387,6 @@ func RunRepl(s Scale, seed uint64) (*Table, error) {
 	t.Metrics["stale_degraded"] = 1
 	t.Metrics["all_down_unavailable"] = 1
 	t.Metrics["equiv"] = 1
-	// Machine-dependent, gate-exempt by the repl_ prefix convention.
-	t.Metrics["repl_sync_wall_ms"] = float64(syncWall.Microseconds()) / 1000
-	t.Metrics["repl_pull_mb_per_sec"] = float64(totalBytes) / (1 << 20) / syncWall.Seconds()
 
 	t.Notes = append(t.Notes,
 		"followers pull immutable segment files (resumable Range requests, whole-file CRC-32)",

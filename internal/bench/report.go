@@ -10,9 +10,8 @@ import (
 )
 
 // Report is the machine-readable counterpart of the rendered tables:
-// one entry per experiment run, with wall-clock and the runner's
-// headline metrics (decodes, skips, hit rate, ...) alongside the full
-// row grid. topnbench -json writes one Report per invocation; CI
+// one entry per experiment run, with the runner's headline metrics
+// (decodes, skips, hit rate, ...) alongside the full row grid. topnbench -json writes one Report per invocation; CI
 // uploads it as an artifact so benchmark trajectories accumulate across
 // commits. GitSHA and Timestamp make each artifact a self-describing
 // trajectory point; CompareReports ignores them (they differ by
@@ -46,7 +45,6 @@ func (r *Report) Stamp() {
 type ReportExperiment struct {
 	ID      string             `json:"id"`
 	Title   string             `json:"title"`
-	WallMS  float64            `json:"wall_ms"`
 	Columns []string           `json:"columns"`
 	Rows    [][]string         `json:"rows"`
 	Notes   []string           `json:"notes,omitempty"`
@@ -54,11 +52,10 @@ type ReportExperiment struct {
 }
 
 // Add records one finished experiment.
-func (r *Report) Add(t *Table, wall time.Duration) {
+func (r *Report) Add(t *Table) {
 	r.Experiments = append(r.Experiments, ReportExperiment{
 		ID:      t.ID,
 		Title:   t.Title,
-		WallMS:  float64(wall.Microseconds()) / 1000,
 		Columns: t.Columns,
 		Rows:    t.Rows,
 		Notes:   t.Notes,

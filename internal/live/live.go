@@ -175,13 +175,13 @@ type Config struct {
 	BlockCacheBytes int64
 	// Tune, if set, closes the loop between the cost model and the live
 	// counters: the writer feeds it per-query decode/fault observations,
-	// per-merge realized costs, and pool fault latencies; in return the
-	// merge/purge planner prices candidates with its calibrated page
-	// weight and fan-out (ranking all candidates by predicted net
-	// benefit instead of taking the first qualifying run), and SealDocs,
-	// MergeFanIn, and PoolPages adapt within the tuner's configured
-	// bounds. nil (default) keeps every knob static and the planner
-	// byte-identical to the untuned policy. A Tuner must not be shared
+	// per-merge realized costs, and pool fault latencies; in return it
+	// supplies the planner's coefficients — calibrated page weight and
+	// fan-out, the amortization horizon, the realized/predicted cost
+	// ratio, and the range of run lengths to consider — and SealDocs and
+	// PoolPages adapt within the tuner's configured bounds. nil (default)
+	// is the same planner with static coefficients: the defaults above
+	// and the single run length MergeFanIn. A Tuner must not be shared
 	// between writers.
 	Tune *tune.Tuner
 	// Follower opens the directory in replica mode: the writer is

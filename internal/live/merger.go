@@ -27,8 +27,8 @@ const defaultTermsPerQuery = 4
 type mergePlan struct {
 	run      []*segment
 	kind     string  // "merge" or "purge"
-	predGain float64 // weighted per-query gain (tuned plans only)
-	predCost float64 // predicted one-time weighted cost (tuned plans only)
+	predGain float64 // predicted weighted per-query gain
+	predCost float64 // predicted one-time weighted cost
 	horizon  int     // amortization horizon the verdict used
 }
 
@@ -232,19 +232,17 @@ func (w *Writer) mergeOnce() (bool, error) {
 				w.mergePagesRead += pagesRead
 				w.mergePagesWritten += pagesWritten
 				w.mergeReencoded += reencoded
-				if w.cfg.Tune != nil {
-					w.cfg.Tune.ObserveMerge(tune.MergeObs{
-						Kind:         plan.kind,
-						Inputs:       len(run),
-						FirstSeq:     run[0].seq,
-						PagesRead:    pagesRead,
-						PagesWritten: pagesWritten,
-						Reencoded:    reencoded,
-						PredGain:     plan.predGain,
-						PredCost:     plan.predCost,
-						Horizon:      plan.horizon,
-					})
-				}
+				w.cfg.Tune.ObserveMerge(tune.MergeObs{
+					Kind:         plan.kind,
+					Inputs:       len(run),
+					FirstSeq:     run[0].seq,
+					PagesRead:    pagesRead,
+					PagesWritten: pagesWritten,
+					Reencoded:    reencoded,
+					PredGain:     plan.predGain,
+					PredCost:     plan.predCost,
+					Horizon:      plan.horizon,
+				})
 				for _, s := range run {
 					s.dead.Store(true)
 					// Retired segments never serve again; drop their
@@ -317,195 +315,144 @@ func (w *Writer) adoptMergedBitmapLocked(merged *segment, run []*segment) error 
 	return nil
 }
 
-// planLocked picks the next maintenance action.
-//
-// Untuned (Config.Tune nil), the static policy: tiered compaction first
-// — the smallest window of MergeFanIn adjacent segments whose sizes sit
-// within one tier (max ≤ mergeTierFactor × min), and
-// worth its one-time cost per the internal/cost model. When no tiered
-// run qualifies, the purge rule applies: the segment with the highest
-// fraction of tombstoned-but-still-stored documents, once that fraction
-// reaches PurgeDeadFrac, is rewritten alone to reclaim the dead
-// postings and re-tighten its block bounds (no cost-model gate — the
-// rewrite is how deleted space is ever returned).
-//
-// Tuned, every candidate — tiered windows at the recommended fan-in and
-// single-segment purge rewrites — is priced with the calibrated
-// coefficients and the action with the highest predicted net benefit
-// wins (see planTunedLocked). Returns nil when nothing qualifies.
+// planCoeffs are the numbers the one planner prices with. The tuner
+// supplies them (nil-safe: a nil tuner yields the static defaults and a
+// single width, kLo = kHi = MergeFanIn); nothing else about planning
+// depends on whether a tuner is attached.
+type planCoeffs struct {
+	terms     float64 // expected query fan-out
+	weight    float64 // page-touch / decode cost ratio; 0 is cost.DefaultPageWeight
+	horizon   int     // amortization horizon, in queries
+	ratio     float64 // realized/predicted merge-cost correction
+	kLo, kHi  int     // run lengths to consider, widest first
+	purgeFrac float64 // Config.PurgeDeadFrac
+}
+
+// planLocked picks the next maintenance action: it gathers the chain's
+// statistics and the coefficients, lets selectMaintenance choose, and
+// wraps the chosen window with the prediction the tuner will be held to
+// after commit. Returns nil when nothing qualifies.
 func (w *Writer) planLocked() *mergePlan {
-	if w.cfg.Tune != nil {
-		return w.planTunedLocked()
-	}
-	if run := w.planTieredLocked(); run != nil {
-		return &mergePlan{run: run, kind: "merge", horizon: w.cfg.MergeHorizon}
-	}
-	if run := w.planPurgeLocked(); run != nil {
-		return &mergePlan{run: run, kind: "purge", horizon: w.cfg.MergeHorizon}
-	}
-	return nil
-}
-
-// planTunedLocked ranks ALL candidate actions by calibrated predicted
-// net benefit — gain × horizon − cost, the portfolio view of
-// maintenance debt: retire the highest-benefit item first instead of
-// the first qualifying one. Candidates are tiered windows of the
-// tuner's recommended fan-in (same tier/size constraints as the static
-// policy) and single-segment purge rewrites of any tombstoned segment.
-// A candidate with negative net benefit is skipped — except the static
-// guarantee stays: a segment at or past PurgeDeadFrac is always
-// eligible, because purge rewrites are also how dead space is returned,
-// not just a latency trade. Ties break toward the earlier run so plans
-// are deterministic.
-func (w *Writer) planTunedLocked() *mergePlan {
 	tn := w.cfg.Tune
-	terms := tn.TermsPerQuery()
-	if terms <= 0 {
-		terms = defaultTermsPerQuery
+	c := planCoeffs{
+		terms:     tn.TermsPerQuery(),
+		weight:    tn.PageWeight(),
+		horizon:   tn.Horizon(w.cfg.MergeHorizon),
+		ratio:     tn.CostRatio(),
+		purgeFrac: w.cfg.PurgeDeadFrac,
 	}
-	weight := tn.PageWeight()
-	if weight <= 0 {
-		weight = cost.DefaultPageWeight
+	if c.terms <= 0 {
+		c.terms = defaultTermsPerQuery
 	}
-	horizon := tn.Horizon(w.cfg.MergeHorizon)
-	ratio := tn.CostRatio()
+	c.kLo, c.kHi = tn.FanInRange(w.cfg.MergeFanIn)
 
-	var best *mergePlan
-	var bestNet float64
-	consider := func(run []*segment, kind string, forced bool) {
-		stats := make([]cost.SegmentStats, len(run))
-		for j, s := range run {
-			stats[j] = segStats(s)
-		}
-		est, err := cost.EstimateMerge(stats, terms, weight)
-		if err != nil {
-			return
-		}
-		predCost := est.MergeCost * ratio // realized/predicted feedback
-		net := est.QueryGain*float64(horizon) - predCost
-		if net < 0 && !forced {
-			return
-		}
-		if best != nil && net <= bestNet {
-			return
-		}
-		best = &mergePlan{
-			run:      append([]*segment(nil), run...),
-			kind:     kind,
-			predGain: est.QueryGain,
-			predCost: predCost,
-			horizon:  horizon,
-		}
-		bestNet = net
+	stats := make([]cost.SegmentStats, len(w.segs))
+	quarantined := make([]bool, len(w.segs))
+	for i, s := range w.segs {
+		stats[i] = segStats(s)
+		quarantined[i] = s.quarantined.Load()
 	}
-
-	// Price tiered windows at every run length the tuner's fan-in bounds
-	// allow — the benefit ranking, not a fixed fan-in, picks the size: a
-	// read-heavy phase approves one wide consolidation over a cascade of
-	// pair merges that would re-encode the same postings repeatedly.
-	// (MergeFanIn is still asked so the headline recommendation shows up
-	// in the decision log and on /tune.)
-	tn.MergeFanIn(w.cfg.MergeFanIn)
-	kLo, kHi := tn.FanInRange(w.cfg.MergeFanIn)
-	if kLo < 2 {
-		kLo = 2
-	}
-	for k := kLo; k <= kHi && k <= len(w.segs); k++ {
-		for i := 0; i+k <= len(w.segs); i++ {
-			run := w.segs[i : i+k]
-			if !w.tieredWindowOKLocked(run) {
-				continue
-			}
-			consider(run, "merge", false)
-		}
-	}
-	for _, s := range w.segs {
-		if s.purgeable == 0 || s.quarantined.Load() {
-			continue
-		}
-		frac := float64(s.purgeable) / float64(s.aliveDocs+s.purgeable)
-		consider([]*segment{s}, "purge", frac >= w.cfg.PurgeDeadFrac)
-	}
-	return best
-}
-
-// tieredWindowOKLocked checks the structural constraints a tiered merge
-// window must satisfy regardless of pricing: healthy inputs and one size
-// tier.
-func (w *Writer) tieredWindowOKLocked(run []*segment) bool {
-	minDocs, maxDocs := run[0].docs, run[0].docs
-	for _, s := range run {
-		if s.quarantined.Load() {
-			return false
-		}
-		if s.docs < minDocs {
-			minDocs = s.docs
-		}
-		if s.docs > maxDocs {
-			maxDocs = s.docs
-		}
-	}
-	return maxDocs <= mergeTierFactor*minDocs
-}
-
-func (w *Writer) planTieredLocked() []*segment {
-	k := w.cfg.MergeFanIn
-	if k < 2 || len(w.segs) < k {
+	lo, hi, est, ok := selectMaintenance(stats, quarantined, c)
+	if !ok {
 		return nil
 	}
-	var best []*segment
-	bestDocs := int64(math.MaxInt64)
-	for i := 0; i+k <= len(w.segs); i++ {
-		run := w.segs[i : i+k]
-		// A quarantined segment cannot be read reliably; merging it would
-		// either fail or launder damaged data into a fresh segment.
-		// Reverify must clear it first. (tieredWindowOKLocked also
-		// enforces the tier spread.)
-		if !w.tieredWindowOKLocked(run) {
-			continue
-		}
-		var total int64
-		for _, s := range run {
-			total += int64(s.docs)
-		}
-		if total >= bestDocs {
-			continue
-		}
-		stats := make([]cost.SegmentStats, len(run))
-		for j, s := range run {
-			stats[j] = segStats(s)
-		}
-		est, err := cost.EstimateMerge(stats, defaultTermsPerQuery, cost.DefaultPageWeight)
-		if err != nil || !est.Worthwhile(w.cfg.MergeHorizon) {
-			continue
-		}
-		best = append([]*segment(nil), run...)
-		bestDocs = total
+	kind := "merge"
+	if hi-lo == 1 {
+		kind = "purge"
 	}
-	return best
+	return &mergePlan{
+		run:      append([]*segment(nil), w.segs[lo:hi]...),
+		kind:     kind,
+		predGain: est.QueryGain,
+		predCost: est.MergeCost,
+		horizon:  c.horizon,
+	}
 }
 
-func (w *Writer) planPurgeLocked() []*segment {
-	var best *segment
+// selectMaintenance is the whole maintenance policy, as a pure function
+// of the chain: it returns the window [lo, hi) to compact and its price
+// (MergeCost already scaled by c.ratio), or ok == false.
+//
+// Structure orders the candidates and the cost model gates them. Tiered
+// compaction first, widest run length first: for k from kHi down to kLo,
+// among the k-windows of healthy adjacent segments within one size tier
+// that are Worthwhile at the horizon, the one with the fewest documents
+// wins, the earliest on ties. Ranking candidates by predicted net
+// benefit instead strands the chain: among equal-sized fresh seals the
+// best-priced window is decided by document-length noise, lands
+// mid-chain, and leaves its left neighbours unmergeable behind the
+// adjacency and tier rules — the candidates are not independent, and a
+// scalar cannot see that.
+//
+// Only when no width has such a window does the purge rule apply: the
+// healthy segment with the highest fraction of tombstoned-but-still-
+// stored documents, once that fraction reaches purgeFrac, is rewritten
+// alone to reclaim the dead postings and re-tighten its block bounds (no
+// cost-model gate — the rewrite is how deleted space is ever returned).
+func selectMaintenance(stats []cost.SegmentStats, quarantined []bool, c planCoeffs) (lo, hi int, est cost.MergeEstimate, ok bool) {
+	price := func(lo, hi int) (cost.MergeEstimate, bool) {
+		e, err := cost.EstimateMerge(stats[lo:hi], c.terms, c.weight)
+		e.MergeCost *= c.ratio // realized/predicted feedback
+		return e, err == nil
+	}
+	for k := c.kHi; k >= c.kLo && k >= 2; k-- {
+		bestDocs := int64(math.MaxInt64)
+		for i := 0; i+k <= len(stats); i++ {
+			total, tiered := tieredWindow(stats[i:i+k], quarantined[i:i+k])
+			if !tiered || total >= bestDocs {
+				continue
+			}
+			e, priced := price(i, i+k)
+			if !priced || !e.Worthwhile(c.horizon) {
+				continue
+			}
+			lo, hi, est, ok, bestDocs = i, i+k, e, true, total
+		}
+		if ok {
+			return lo, hi, est, true
+		}
+	}
 	var bestFrac float64
-	for _, s := range w.segs {
-		if s.purgeable == 0 || s.quarantined.Load() {
+	for i, s := range stats {
+		if s.Stored == s.Alive || quarantined[i] {
 			continue
 		}
 		// Fraction of *stored* documents (alive + tombstoned-but-stored).
 		// The full id span would count long-purged holes in the
 		// denominator, making old segments need ever more tombstones to
 		// requalify — dead space would stop being reclaimed.
-		frac := float64(s.purgeable) / float64(s.aliveDocs+s.purgeable)
-		if frac >= w.cfg.PurgeDeadFrac && frac > bestFrac {
-			best = s
-			bestFrac = frac
+		frac := float64(s.Stored-s.Alive) / float64(s.Stored)
+		if frac >= c.purgeFrac && frac > bestFrac {
+			lo, hi, ok, bestFrac = i, i+1, true, frac
 		}
 	}
-	if best == nil {
-		return nil
+	if ok {
+		est, _ = price(lo, hi) // the purge's price is a prediction, not a gate
 	}
-	return []*segment{best}
+	return lo, hi, est, ok
+}
+
+// tieredWindow checks the structural constraints a tiered merge window
+// must satisfy regardless of pricing — healthy inputs and one size tier —
+// and returns the window's document count.
+func tieredWindow(run []cost.SegmentStats, quarantined []bool) (docs int64, ok bool) {
+	minDocs, maxDocs := run[0].Docs, run[0].Docs
+	for i, s := range run {
+		// A quarantined segment cannot be read reliably; merging it would
+		// either fail or launder damaged data into a fresh segment.
+		// Reverify must clear it first.
+		if quarantined[i] {
+			return 0, false
+		}
+		if s.Docs < minDocs {
+			minDocs = s.Docs
+		}
+		if s.Docs > maxDocs {
+			maxDocs = s.Docs
+		}
+		docs += int64(s.Docs)
+	}
+	return docs, maxDocs <= mergeTierFactor*minDocs
 }
 
 // spliceLocked replaces the contiguous run in the chain by the merged

@@ -192,7 +192,7 @@ func (s *Snapshot) searchIDs(ctx context.Context, ids []lexicon.TermID, n int) (
 	// in the deterministic bench (one worker) the deltas are exact.
 	var tuneD0, tuneF0 int64
 	var tuneTok tune.SpanToken
-	if s.tn != nil {
+	if s.tn != nil { // not nil-safety: skips summing the counters per query
 		tuneD0, _, tuneF0 = s.Counters()
 		tuneTok = s.tn.StartSpan()
 	}

@@ -209,12 +209,11 @@ func openSegment(cfg Config, name string, seq, snap uint64, base uint32, tomb ui
 // rather than left as a stale orphan. op ("seal", "merge") names the
 // caller in errors and logs.
 func writeSegment(cfg Config, op string, idx *index.Index, blobs [][]byte, bm *postings.AliveBitmap, seq, snap uint64, base uint32, bc *blockcache.Cache) (_ *segment, err error) {
-	// The new segment is served through a pool sized by the tuner when one
-	// is attached (fault pressure earns more frames, within bounds).
-	if cfg.Tune != nil {
-		if v := cfg.Tune.PoolPages(cfg.PoolPages); v >= 8 {
-			cfg.PoolPages = v
-		}
+	// The new segment is served through a pool sized by the tuner (fault
+	// pressure earns more frames, within bounds; a nil tuner returns the
+	// base).
+	if v := cfg.Tune.PoolPages(cfg.PoolPages); v >= 8 {
+		cfg.PoolPages = v
 	}
 	name := segmentName(seq)
 	dir := filepath.Join(cfg.Dir, name)

@@ -1,6 +1,9 @@
 package live
 
 import (
+	"math/rand"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -184,5 +187,68 @@ func TestTunedKnobsReachLive(t *testing.T) {
 	}
 	if got := wt.TuneStats().SealDocs; got != 400 {
 		t.Fatalf("write-only stream left SealDocs at %d, want the bound 400", got)
+	}
+}
+
+// TestTunedChainNotStranded: a tuner with every knob frozen changes the
+// planner's coefficients, never its structure — over a long stream of
+// variable-length documents the merged chain has exactly the untuned
+// writer's shape. Ranking candidates by predicted net benefit failed
+// this: among equal-sized fresh seals the best-priced window is decided
+// by document-length noise, lands mid-chain, and strands its left
+// neighbours behind the adjacency and tier rules (13 segments, seven of
+// them stranded 512-document seals, against 7 segments here).
+func TestTunedChainNotStranded(t *testing.T) {
+	run := func(tn *tune.Tuner) []int {
+		w, err := Open(Config{Dir: t.TempDir(), Workers: 1, Tune: tn})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		rng := rand.New(rand.NewSource(16))
+		term := func() string { return "t" + strconv.Itoa(rng.Intn(5000)) }
+		s := w.Searcher()
+		query := func() {
+			if _, err := s.Search([]string{term(), term(), term()}, 10); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 20000; i++ {
+			doc := make([]TermCount, 20+rng.Intn(120))
+			for j := range doc {
+				doc[j] = TermCount{Term: term(), TF: 1}
+			}
+			if _, err := w.Add(doc); err != nil {
+				t.Fatal(err)
+			}
+			if i%50 == 49 {
+				query()
+			}
+		}
+		for i := 0; i < 200; i++ {
+			query()
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.MergeAll(); err != nil {
+			t.Fatal(err)
+		}
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		var chain []int
+		for _, seg := range w.segs {
+			chain = append(chain, seg.docs)
+		}
+		t.Logf("chain %v: %d merges, %d postings re-encoded", chain, w.merges, w.mergeReencoded)
+		return chain
+	}
+	static := run(nil)
+	tuned := run(tune.New(tune.Config{
+		SpanModel: &tune.SpanModel{DecodeCost: 100 * time.Nanosecond, FaultCost: 100 * time.Microsecond},
+	}))
+	if !reflect.DeepEqual(tuned, static) {
+		t.Fatalf("frozen tuner changed the chain:\n tuned  %v (%d segments)\n static %v (%d segments)",
+			tuned, len(tuned), static, len(static))
 	}
 }

@@ -325,14 +325,11 @@ func (w *Writer) recordLocked(doc collection.Document) (global uint32, need bool
 	w.buf = append(w.buf, doc)
 	w.bufTokens += int64(doc.Len)
 	w.docsAdded++
-	// The seal threshold is the tuner's when one is attached (write-heavy
-	// phases seal bigger segments, within the configured bounds); the
-	// tuner takes only its own lock, so calling it under w.mu is safe.
-	sealDocs := w.cfg.SealDocs
-	if w.cfg.Tune != nil {
-		w.cfg.Tune.ObserveWrite()
-		sealDocs = w.cfg.Tune.SealDocs(sealDocs)
-	}
+	// The seal threshold is the tuner's (write-heavy phases seal bigger
+	// segments, within the configured bounds; a nil tuner returns the
+	// base); it takes only its own lock, so calling it under w.mu is safe.
+	w.cfg.Tune.ObserveWrite()
+	sealDocs := w.cfg.Tune.SealDocs(w.cfg.SealDocs)
 	need = len(w.buf) >= sealDocs || w.bufTokens >= sealTokens
 	return global, need, nil
 }
@@ -490,11 +487,11 @@ func (w *Writer) commitLocked() error {
 // latency accumulated since the last sample into the tuner's direct
 // fault-latency channel. Sampled at every commit — the natural points
 // where the writer already holds the mutex that guards the segments'
-// high-water marks. A no-op without a tuner.
+// high-water marks.
 func (w *Writer) samplePoolLatencyLocked() {
 	tn := w.cfg.Tune
 	if tn == nil {
-		return
+		return // not nil-safety: skips walking the chain at every commit
 	}
 	for _, s := range w.segs {
 		reads, total := s.pool.ReadLatency()

@@ -91,6 +91,13 @@ func (b *liveBackend) CacheStats() live.CacheStats { return b.w.CacheStats() }
 
 func (b *liveBackend) Close() error { return b.w.Close() }
 
+const (
+	// maxTerms caps the term count of one query.
+	maxTerms = 32
+	// retryAfter is the Retry-After hint on responses shed by admission.
+	retryAfter = time.Second
+)
+
 // Config sizes a Server. Zero values take the documented defaults.
 type Config struct {
 	// MaxInFlight bounds concurrently executing searches. Default 16.
@@ -105,16 +112,12 @@ type Config struct {
 	MaxTimeout time.Duration
 	// MaxN caps the result count a request may ask for. Default 1000.
 	MaxN int
-	// MaxTerms caps the term count of one query. Default 32.
-	MaxTerms int
 	// RatePerClient is the sustained per-client request rate
 	// (requests/second); 0 disables rate limiting.
 	RatePerClient float64
 	// Burst is the per-client burst allowance when rate limiting is on.
 	// Default 2×RatePerClient (floor 1).
 	Burst float64
-	// RetryAfter is the Retry-After hint on shed responses. Default 1s.
-	RetryAfter time.Duration
 	// now is the injectable clock (tests); nil means time.Now.
 	now func() time.Time
 }
@@ -135,14 +138,8 @@ func (c *Config) fillDefaults() {
 	if c.MaxN == 0 {
 		c.MaxN = 1000
 	}
-	if c.MaxTerms == 0 {
-		c.MaxTerms = 32
-	}
 	if c.Burst == 0 {
 		c.Burst = 2 * c.RatePerClient
-	}
-	if c.RetryAfter == 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -361,8 +358,8 @@ func (s *Server) parseSearch(r *http.Request) (searchRequest, error) {
 	if len(req.Terms) == 0 {
 		return req, fmt.Errorf("terms must be non-empty")
 	}
-	if len(req.Terms) > s.cfg.MaxTerms {
-		return req, fmt.Errorf("%d terms exceeds limit %d", len(req.Terms), s.cfg.MaxTerms)
+	if len(req.Terms) > maxTerms {
+		return req, fmt.Errorf("%d terms exceeds limit %d", len(req.Terms), maxTerms)
 	}
 	for i, t := range req.Terms {
 		if t == "" {
@@ -422,7 +419,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		if errors.Is(err, ErrShed) {
 			s.metrics.doneShed()
-			s.shed(w, s.cfg.RetryAfter)
+			s.shed(w, retryAfter)
 			return
 		}
 		// The context fired while queued: deadline exhausted in line.

@@ -90,7 +90,7 @@ func TestSearchMalformedRequests(t *testing.T) {
 		t.Error("backend reached by a malformed request")
 		return live.Result{}, nil
 	}}
-	s := newTestServer(t, backend, Config{MaxN: 100, MaxTerms: 4})
+	s := newTestServer(t, backend, Config{MaxN: 100})
 	cases := []struct {
 		name, body string
 		want       int
@@ -102,7 +102,7 @@ func TestSearchMalformedRequests(t *testing.T) {
 		{"no terms", `{"n": 5}`, http.StatusBadRequest},
 		{"empty terms", `{"terms": [], "n": 5}`, http.StatusBadRequest},
 		{"blank term", `{"terms": ["t1", ""], "n": 5}`, http.StatusBadRequest},
-		{"too many terms", `{"terms": ["a","b","c","d","e"], "n": 5}`, http.StatusBadRequest},
+		{"too many terms", `{"terms": ["t` + strings.Repeat(`","t`, 32) + `"], "n": 5}`, http.StatusBadRequest},
 		{"zero n", `{"terms": ["t1"], "n": 0}`, http.StatusBadRequest},
 		{"negative n", `{"terms": ["t1"], "n": -3}`, http.StatusBadRequest},
 		{"huge n", `{"terms": ["t1"], "n": 101}`, http.StatusBadRequest},
@@ -151,7 +151,7 @@ func TestAdmissionShedsNotBlocks(t *testing.T) {
 			return live.Result{}, ctx.Err()
 		}
 	}}
-	s := newTestServer(t, backend, Config{MaxInFlight: 1, QueueDepth: 1, RetryAfter: 3 * time.Second})
+	s := newTestServer(t, backend, Config{MaxInFlight: 1, QueueDepth: 1})
 
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -175,8 +175,8 @@ func TestAdmissionShedsNotBlocks(t *testing.T) {
 	if elapsed > time.Second {
 		t.Fatalf("shed took %v — it blocked instead of rejecting", elapsed)
 	}
-	if w.Header().Get("Retry-After") != "3" {
-		t.Fatalf("Retry-After = %q, want %q", w.Header().Get("Retry-After"), "3")
+	if w.Header().Get("Retry-After") != "1" {
+		t.Fatalf("Retry-After = %q, want %q", w.Header().Get("Retry-After"), "1")
 	}
 
 	close(release)

@@ -11,12 +11,12 @@
 //	           track the observed query fan-out (replacing the static
 //	           terms-per-query guess) and the realized/predicted merge
 //	           cost ratio (correcting future merge pricing).
-//	decide     Knob recommendations — seal threshold, merge fan-in,
-//	           pool pages, amortization horizon — adapt to the observed
-//	           read/write mix and fault pressure, each clamped inside
+//	decide     Knob recommendations — seal threshold, pool pages,
+//	           amortization horizon — adapt to the observed read/write
+//	           mix and fault pressure, each clamped inside
 //	           caller-configured Bounds. The live planner prices merge
-//	           and purge candidates with the calibrated coefficients
-//	           and ranks them by predicted net benefit.
+//	           windows with the calibrated coefficients, over the
+//	           configured range of run lengths.
 //	account    Every knob change and executed merge/purge is recorded
 //	           in a bounded decision log with a running FNV-1a digest
 //	           over integer-only canonical strings, so two runs over
@@ -71,8 +71,9 @@ type Config struct {
 	SpanModel *SpanModel
 	// Now supplies timestamps in measured mode. nil means time.Now.
 	Now func() time.Time
-	// SealDocs / MergeFanIn / PoolPages bound the corresponding knob
-	// recommendations. Zero Bounds freeze a knob at its base value.
+	// SealDocs / PoolPages bound the corresponding knob recommendations;
+	// MergeFanIn bounds the run lengths the planner considers
+	// (FanInRange). Zero Bounds freeze a knob at its base value.
 	SealDocs   Bounds
 	MergeFanIn Bounds
 	PoolPages  Bounds
@@ -106,7 +107,7 @@ func (c *Config) fillDefaults() {
 // merge/purge with its price tag.
 type Decision struct {
 	Seq      int64   `json:"seq"`
-	Kind     string  `json:"kind"`   // "seal-docs", "fan-in", "pool-pages", "horizon", "merge", "purge"
+	Kind     string  `json:"kind"`   // "seal-docs", "pool-pages", "horizon", "merge", "purge"
 	Detail   string  `json:"detail"` // integer-only canonical description
 	Horizon  int     `json:"horizon,omitempty"`
 	PredGain float64 `json:"pred_gain,omitempty"` // weighted per-query gain at decision time
@@ -130,10 +131,9 @@ type Stats struct {
 	Merges    int64 `json:"merges_observed"`
 	PoolReads int64 `json:"pool_reads_observed"`
 
-	SealDocs   int `json:"seal_docs,omitempty"` // last recommendation (0 before first ask)
-	MergeFanIn int `json:"merge_fan_in,omitempty"`
-	PoolPages  int `json:"pool_pages,omitempty"`
-	Horizon    int `json:"horizon,omitempty"`
+	SealDocs  int `json:"seal_docs,omitempty"` // last recommendation (0 before first ask)
+	PoolPages int `json:"pool_pages,omitempty"`
+	Horizon   int `json:"horizon,omitempty"`
 
 	Decisions      int64      `json:"decisions_total"`
 	DecisionDigest uint32     `json:"decision_digest"`
@@ -159,7 +159,7 @@ type Tuner struct {
 	costRatio ewma // realized/predicted merge cost, clamped [1/4, 4]
 
 	// last returned knob values, for change detection
-	lastSeal, lastFan, lastPool, lastHorizon int
+	lastSeal, lastPool, lastHorizon int
 
 	decisions []Decision // ring, newest last, ≤ recentDecisions
 	decSeq    int64
@@ -418,35 +418,10 @@ func (t *Tuner) SealDocs(base int) int {
 	return v
 }
 
-// MergeFanIn recommends the tiered-merge run length: read-heavy phases
-// merge eagerly in small runs (fragmentation taxes every query),
-// write-heavy phases wait for wider runs (each document is re-copied
-// fewer times).
-func (t *Tuner) MergeFanIn(base int) int {
-	if t == nil || t.cfg.MergeFanIn.frozen() {
-		return base
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	v := base
-	if t.mix.seen {
-		switch {
-		case t.mix.v <= 0.25:
-			v = t.cfg.MergeFanIn.Max
-		case t.mix.v >= 0.75:
-			v = t.cfg.MergeFanIn.Min
-		}
-	}
-	v = t.cfg.MergeFanIn.clamp(v)
-	t.noteKnobLocked("fan-in", &t.lastFan, v)
-	return v
-}
-
-// FanInRange is the window of run lengths the tuned planner prices
-// merge candidates at: the configured MergeFanIn bounds (floored at 2),
-// or just the base when the knob is frozen. Unlike MergeFanIn it makes
-// no mix-driven choice — the planner's net-benefit ranking picks the
-// size that pays best.
+// FanInRange is the range of run lengths the planner considers, widest
+// first: the configured MergeFanIn bounds (floored at 2), or just the
+// base when the knob is frozen. It makes no mix-driven choice — the
+// planner takes the widest run that pays at the adapted horizon.
 func (t *Tuner) FanInRange(base int) (lo, hi int) {
 	if t == nil || t.cfg.MergeFanIn.frozen() {
 		return base, base
@@ -535,7 +510,6 @@ func (t *Tuner) Stats() Stats {
 		Merges:         t.merges,
 		PoolReads:      t.cal.poolReads,
 		SealDocs:       t.lastSeal,
-		MergeFanIn:     t.lastFan,
 		PoolPages:      t.lastPool,
 		Horizon:        t.lastHorizon,
 		Decisions:      t.decSeq,

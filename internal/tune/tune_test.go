@@ -147,7 +147,7 @@ func TestTunerDeterministicSpans(t *testing.T) {
 			}
 			if i%16 == 0 {
 				tn.SealDocs(100)
-				tn.MergeFanIn(4)
+				tn.FanInRange(4)
 				tn.PoolPages(32)
 				tn.Horizon(1000)
 			}
@@ -193,8 +193,8 @@ func TestTunerKnobBoundsAndFreeze(t *testing.T) {
 	if v := tn.SealDocs(100); v < 100 || v > 400 {
 		t.Fatalf("SealDocs %d outside [100, 400]", v)
 	}
-	if v := tn.MergeFanIn(4); v < 2 || v > 6 {
-		t.Fatalf("MergeFanIn %d outside [2, 6]", v)
+	if lo, hi := tn.FanInRange(4); lo != 2 || hi != 6 {
+		t.Fatalf("FanInRange [%d, %d], want the bounds [2, 6]", lo, hi)
 	}
 	if v := tn.PoolPages(32); v < 32 || v > 128 {
 		t.Fatalf("PoolPages %d outside [32, 128]", v)
@@ -207,7 +207,7 @@ func TestTunerKnobBoundsAndFreeze(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		frozen.ObserveWrite()
 	}
-	if frozen.SealDocs(123) != 123 || frozen.MergeFanIn(4) != 4 || frozen.PoolPages(64) != 64 {
+	if lo, hi := frozen.FanInRange(4); frozen.SealDocs(123) != 123 || lo != 4 || hi != 4 || frozen.PoolPages(64) != 64 {
 		t.Fatal("zero Bounds must freeze knobs at their base")
 	}
 }
